@@ -12,10 +12,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
-from .cyclo import CycloNum, cached_mul, int_vec_zero_mod_phi, root_of_unity
+from .cyclo import (
+    CycloNum,
+    cached_mul,
+    cyclic_mul,
+    int_vec_zero_mod_phi,
+    root_exponent,
+    root_of_unity,
+    rotate,
+)
 from .cocycle import (
     CocycleParams,
     legal_q_values,
@@ -23,7 +30,7 @@ from .cocycle import (
     phi,
 )
 from .quiver import Path, PathVector, comultiply, parse_path
-from .shuffle import QuiverAlgebra, gauss_binomial_poly
+from .shuffle import QuiverAlgebra, _binomial_buckets
 
 __all__ = [
     "MajidAlgebra",
@@ -88,7 +95,8 @@ class MajidAlgebra:
         path algebra; it vanishes (target None) exactly when l+m >= d.
         """
         if a.length >= self.d or b.length >= self.d:
-            raise ValueError("factor outside the basis of M(n,s,q)")
+            raise ValueError("factor outside the basis of M(n,s,q): "
+                             f"lengths must be < d = {self.d}")
         key = (a.source, a.length, b.source, b.length)
         hit = self._prod.get(key)
         if hit is not None:
@@ -156,52 +164,6 @@ def build(n: int, s: int, q: CycloNum) -> MajidAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def _polymul_int(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _bucket(poly, conductor: int, step: int):
-    out = [0] * conductor
-    for e, c in enumerate(poly):
-        if c:
-            out[(e * step) % conductor] += c
-    return out
-
-
-@lru_cache(maxsize=None)
-def _pair_buckets(conductor: int, hb_e: int, l1: int, m1: int,
-                  l2: int, m2: int) -> tuple[int, ...]:
-    """binom(l1+m1, l1) binom(l2+m2, l2) at x^hb_e, mod x^conductor - 1."""
-    poly = _polymul_int(gauss_binomial_poly(l1 + m1, l1),
-                        gauss_binomial_poly(l2 + m2, l2))
-    return tuple(_bucket(poly, conductor, hb_e))
-
-
-@lru_cache(maxsize=None)
-def _trinom_buckets(conductor: int, hb_e: int, l: int, m: int, t: int):
-    """The two association orders of the q-trinomial coefficient.
-
-    Returns (buckets of binom(m+t,m) binom(l+m+t,l), zero-mod-Phi flag of
-    the first order, zero flag of the second, equal-as-values flag)."""
-    b1 = _pair_buckets(conductor, hb_e, m, t, l, m + t)
-    b2 = _pair_buckets(conductor, hb_e, l, m, l + m, t)
-    z1 = int_vec_zero_mod_phi(b1, conductor)
-    z2 = int_vec_zero_mod_phi(b2, conductor)
-    if b1 == b2:
-        same = True
-    else:
-        same = int_vec_zero_mod_phi(
-            [x - y for x, y in zip(b1, b2)], conductor
-        )
-    return b1, b2, z1, z2, same
-
-
 def _fast_quasi_checks(M: MajidAlgebra):
     """Quasi-associativity on all basis triples and multiplicativity of
     the coproduct, entirely in integer arithmetic.
@@ -213,9 +175,8 @@ def _fast_quasi_checks(M: MajidAlgebra):
     success or (check-name, witness).
     """
     n, s, d = M.n, M.s, M.d
-    kh, eh = M.hbar.as_root_of_unity()
-    N = kh * n // gcd(kh, n)
-    hb_e = eh * (N // kh) % N
+    N = d * n // gcd(d, n)  # d is the order of hbar
+    hb_e = root_exponent(M.hbar, N)
     s_qq = s * (N // n)
 
     def E(i, l, j, m):
@@ -225,16 +186,28 @@ def _fast_quasi_checks(M: MajidAlgebra):
     def phi_e(i, j, k):
         return s_qq * i if j + k >= n else 0
 
-    def rot(v, e):
-        return v[-e:] + v[:-e] if e else v
+    pairs = {}
+
+    def pair(l1, m1, l2, m2):
+        """binom(l1+m1, l1) binom(l2+m2, l2) at x^hb_e, mod x^N - 1."""
+        key = (l1, m1, l2, m2)
+        if key not in pairs:
+            pairs[key] = cyclic_mul(_binomial_buckets(N, hb_e, l1, m1),
+                                    _binomial_buckets(N, hb_e, l2, m2))
+        return pairs[key]
 
     # quasi-associativity: Phi(sources) a(bc) = Phi(targets) (ab)c
     for l in range(d):
         for m in range(d):
             for t in range(d):
-                _, _, z1, z2, same = _trinom_buckets(N, hb_e, l, m, t)
-                if z1 and z2:
+                # the two association orders of the q-trinomial coefficient
+                b1 = pair(m, t, l, m + t)
+                b2 = pair(l, m, l + m, t)
+                if (int_vec_zero_mod_phi(b1, N)
+                        and int_vec_zero_mod_phi(b2, N)):
                     continue
+                same = b1 == b2 or int_vec_zero_mod_phi(
+                    [x - y for x, y in zip(b1, b2)], N)
                 for i in range(n):
                     for j in range(n):
                         for k in range(n):
@@ -245,10 +218,9 @@ def _fast_quasi_checks(M: MajidAlgebra):
                                   + E((i + j) % n, l + m, k, t)) % N
                             if same and eL == eR:
                                 continue
-                            b1, b2, _, _, _ = _trinom_buckets(N, hb_e, l, m, t)
                             diff = [
                                 x - y
-                                for x, y in zip(rot(b1, eL), rot(b2, eR))
+                                for x, y in zip(rotate(b1, eL), rotate(b2, eR))
                             ]
                             if int_vec_zero_mod_phi(diff, N):
                                 continue
@@ -262,19 +234,18 @@ def _fast_quasi_checks(M: MajidAlgebra):
     # reproduce the total coefficient (the q-Vandermonde identity).
     for l in range(d):
         for m in range(d):
-            cb = _pair_buckets(N, hb_e, l, m, 0, 0)
+            cb = _binomial_buckets(N, hb_e, l, m)
             for i in range(n):
                 for j in range(n):
                     eC = E(i, l, j, m) % N
-                    target = rot(cb, eC)
+                    target = rotate(cb, eC)
                     for r in range(l + m + 1):
                         acc = [0] * N
                         for k in range(max(0, r - m), min(l, r) + 1):
                             u = r - k
-                            pb = _pair_buckets(N, hb_e, l - k, m - u, k, u)
                             e = (E((i + k) % n, l - k, (j + u) % n, m - u)
                                  + E(i, k, j, u)) % N
-                            rv = rot(pb, e)
+                            rv = rotate(pair(l - k, m - u, k, u), e)
                             for x in range(N):
                                 acc[x] += rv[x]
                         diff = [acc[x] - target[x] for x in range(N)]
@@ -574,10 +545,9 @@ def classify(n: int) -> list[ClassificationEntry]:
         for q in legal_q_values(params):
             M = MajidAlgebra.build(n, s, q)
             conductor = n if s == 0 else n * n
-            _, e = q.as_root_of_unity()
-            q_exp = e * (conductor // q.as_root_of_unity()[0]) % conductor
             out.append(ClassificationEntry(
-                n=n, s=s, q_exp=q_exp, conductor=conductor, d=M.d, dim=M.dim,
+                n=n, s=s, q_exp=root_exponent(q, conductor),
+                conductor=conductor, d=M.d, dim=M.dim,
                 is_hopf=(s == 0), trivial_coradical=(M.d == 1),
             ))
     return out
@@ -704,8 +674,7 @@ def export_algebra(M: MajidAlgebra, format: str = "dict"):
 
 def _canonical_q_exp(M: MajidAlgebra) -> tuple[int, int]:
     conductor = M.n if M.s == 0 else M.n * M.n
-    k, e = M.q.as_root_of_unity()
-    return e * (conductor // k) % conductor, conductor
+    return root_exponent(M.q, conductor), conductor
 
 
 def import_algebra(doc) -> MajidAlgebra:

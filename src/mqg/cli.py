@@ -1,11 +1,14 @@
 """Command-line entry point.
 
 Subcommands: classify, build, verify, product, cocycle, indec, decompose,
-tensor, fpdim, export.  Exit codes: 0 success, 1 verification failure,
-2 usage error.  `--json` switches to machine-readable output; all output
-is deterministic.  The parameter q is always given by its exponent
-relative to the canonical primitive root (conductor n for s = 0, n^2
-otherwise).
+tensor, fpdim, export.  Exit codes: 0 success; 1 verification or
+structure failure, such as a dump that disagrees with its rebuilt
+algebra; 2 usage or input error, such as a malformed file, a conductor
+above MQG_MAX_CONDUCTOR, or that setting not being a positive integer.
+No error ends in a traceback.  `--json` switches to machine-readable
+output; all output is deterministic.  The parameter q is always given by
+its exponent relative to the canonical primitive root (conductor n for
+s = 0, n^2 otherwise).
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .cyclo import CycloNum, root_of_unity
+from .cyclo import ConductorLimitError, max_conductor, root_of_unity
 from .cocycle import CocycleParams, pentagon_report, sigma_report
 from .quiver import parse_path
 from .algebra import (
@@ -104,8 +107,6 @@ def cmd_product(args) -> int:
     M = _build_from_args(args)
     a = parse_path(args.left, M.n)
     b = parse_path(args.right, M.n)
-    if a.length >= M.d or b.length >= M.d:
-        raise SystemExit(f"error: factors must have length < d = {M.d}")
     coeff, target = M.product(a, b)
     doc = {"coeff": coeff.to_json(),
            "target": str(target) if target is not None else None}
@@ -293,8 +294,12 @@ def run(argv=None) -> int:
                   file=sys.stderr)
             return USAGE_ERROR
     try:
+        max_conductor()  # an invalid MQG_MAX_CONDUCTOR is a usage error
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except StructureError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return VERIFY_ERROR
+    except (ValueError, OSError, KeyError, ConductorLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -180,11 +180,16 @@ class CycleModule:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CycleModule":
-        arrows = [
-            [[CycloNum.from_json(x) for x in row] for row in mat]
-            for mat in doc["arrows"]
-        ]
-        return cls(doc["n"], doc["d"], doc["dims"], arrows)
+        """Inverse of to_json; a document of the wrong shape raises
+        ValueError."""
+        try:
+            arrows = [
+                [[CycloNum.from_json(x) for x in row] for row in mat]
+                for mat in doc["arrows"]
+            ]
+            return cls(doc["n"], doc["d"], doc["dims"], arrows)
+        except (TypeError, KeyError, ZeroDivisionError) as exc:
+            raise ValueError(f"malformed module document: {exc!r}") from exc
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,10 @@ cyclotomic polynomial.  No floating point is used anywhere in this
 module.  Values constructed through :func:`root_of_unity` carry an
 exponent tag, so products and powers of roots of unity are integer
 arithmetic instead of polynomial multiplication.
+
+The integer engines of the package encode sum_k v_k zeta_N^k as the
+integer vector (v_0, ..., v_{N-1}) modulo x^N - 1; the helpers for that
+encoding are at the end of this module.
 """
 from __future__ import annotations
 
@@ -39,13 +43,26 @@ class ConductorLimitError(RuntimeError):
 
 
 def max_conductor() -> int:
-    return int(os.environ.get("MQG_MAX_CONDUCTOR", DEFAULT_MAX_CONDUCTOR))
+    """The bound on conductors: MQG_MAX_CONDUCTOR, a positive integer."""
+    raw = os.environ.get("MQG_MAX_CONDUCTOR")
+    if raw is None:
+        return DEFAULT_MAX_CONDUCTOR
+    try:
+        bound = int(raw)
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise InvalidConductorError(
+            f"MQG_MAX_CONDUCTOR must be a positive integer, got {raw!r}")
+    return bound
 
 
 def _check_conductor(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise InvalidConductorError(f"conductor must be a positive integer, got {n!r}")
-    if n > max_conductor():
+    # conductor 1 is within every bound; not reading the bound for it keeps
+    # the rational constants built at import free of the setting
+    if n > 1 and n > max_conductor():
         raise ConductorLimitError(
             f"conductor {n} exceeds the configured bound {max_conductor()}"
         )
@@ -134,21 +151,24 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return num
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    phi_poly = cyclotomic_polynomial(n)
-    deg = len(phi_poly) - 1
+@lru_cache(maxsize=None)
+def _phi_reduction_data(conductor: int):
+    poly = cyclotomic_polynomial(conductor)
+    deg = len(poly) - 1
+    return deg, tuple((k, c) for k, c in enumerate(poly[:-1]) if c)
+
+
+def _reduce_mod_phi(coeffs, n: int) -> tuple:
+    """Coefficients (Fraction or int, at least phi(n) of them) of a
+    polynomial in zeta_n, reduced modulo Phi_n to exactly phi(n)."""
+    deg, terms = _phi_reduction_data(n)
     c = list(coeffs)
     for i in range(len(c) - 1, deg - 1, -1):
         t = c[i]
         if t:
-            base = i - deg
-            for j in range(deg):
-                pj = phi_poly[j]
-                if pj:
-                    c[base + j] -= t * pj
-    c = c[:deg]
-    c += [_ZERO_FR] * (deg - len(c))
-    return tuple(c)
+            for k, pk in terms:
+                c[i - deg + k] -= t * pk
+    return tuple(c[:deg])
 
 
 _ZERO_FR = Fraction(0)
@@ -339,13 +359,13 @@ class CycloNum:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.n == other.n:
-            return self.c == other.c
         if self._root and other._root:
             n1, e1 = self._root
             n2, e2 = other._root
             m = n1 * n2 // math.gcd(n1, n2)
             return (e1 * (m // n1) - e2 * (m // n2)) % m == 0
+        if self.n == other.n:
+            return self.c == other.c
         a, b = self._unify(self, other)
         return a.c == b.c
 
@@ -356,23 +376,13 @@ class CycloNum:
                 (ct * _trace_zeta(self.n, k) for k, ct in enumerate(self.c) if ct),
                 _ZERO_FR,
             )
-            sq = self._mul_generic(self)
+            sq = self * self
             t2 = sum(
                 (ct * _trace_zeta(sq.n, k) for k, ct in enumerate(sq.c) if ct),
                 _ZERO_FR,
             )
             self._h = hash((t1, t2))
         return self._h
-
-    def _mul_generic(self, other: "CycloNum") -> "CycloNum":
-        a, b = self._unify(self, other)
-        out = [_ZERO_FR] * (2 * len(a.c) - 1)
-        for i, ai in enumerate(a.c):
-            if ai:
-                for j, bj in enumerate(b.c):
-                    if bj:
-                        out[i + j] += ai * bj
-        return CycloNum(a.n, out)
 
     # ---- root-of-unity structure ----------------------------------------
 
@@ -513,27 +523,39 @@ def cached_mul(a: CycloNum, b: CycloNum) -> CycloNum:
     return a * b
 
 
-@lru_cache(maxsize=None)
-def _phi_reduction_data(conductor: int):
-    poly = cyclotomic_polynomial(conductor)
-    deg = len(poly) - 1
-    return deg, tuple((k, c) for k, c in enumerate(poly[:-1]) if c)
+# ---- integer encoding: sum_k v_k zeta_N^k <-> (v_0, ..., v_{N-1}) ------
+
+
+def root_exponent(x: CycloNum, conductor: int) -> int:
+    """The e in 0..conductor-1 with x == zeta_conductor^e, for a root of
+    unity x whose order divides `conductor`."""
+    k, e = x.as_root_of_unity()
+    return e * (conductor // k) % conductor
+
+
+def rotate(vec, e: int):
+    """vec times x^e modulo x^len(vec) - 1: multiplication by zeta_N^e."""
+    e %= len(vec)
+    return vec[-e:] + vec[:-e] if e else vec
+
+
+def cyclic_mul(a, b) -> list[int]:
+    """The product of two integer vectors of length N modulo x^N - 1."""
+    N = len(a)
+    out = [0] * N
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[(i + j) % N] += x * y
+    return out
 
 
 def int_vec_zero_mod_phi(vec, conductor: int) -> bool:
     """Whether sum_k vec[k] zeta_conductor^k = 0, for an integer vector of
     length `conductor`; exact sparse reduction modulo the cyclotomic
     polynomial, no rational arithmetic."""
-    if not any(vec):
-        return True
-    deg, terms = _phi_reduction_data(conductor)
-    v = list(vec)
-    for t in range(len(v) - 1, deg - 1, -1):
-        c = v[t]
-        if c:
-            for k, pc in terms:
-                v[t - deg + k] -= c * pc
-    return not any(v[:deg])
+    return not any(_reduce_mod_phi(vec, conductor))
 
 
 _ONE = CycloNum.one()

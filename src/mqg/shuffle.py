@@ -17,7 +17,13 @@ from functools import lru_cache
 from math import comb, gcd
 import itertools
 
-from .cyclo import CycloNum, cached_mul, int_vec_zero_mod_phi
+from .cyclo import (
+    CycloNum,
+    cached_mul,
+    int_vec_zero_mod_phi,
+    root_exponent,
+    rotate,
+)
 from .cocycle import CocycleParams
 from .bimodule import ArrowBimodule, build_bimodule
 from .quiver import Path, PathVector
@@ -173,20 +179,15 @@ class QuiverAlgebra:
         if self._exp_tables is not None:
             return self._exp_tables
         n = self.n
-        raw_r = {}
-        raw_l = {}
+        keys = [(a, arrow) for a in range(n) for arrow in range(1, n + 1)]
+        right = {(a, i): self.bimodule.right_act(i, a)[0] for a, i in keys}
+        left = {(a, i): self.bimodule.left_act(a, i)[0] for a, i in keys}
         conductor = 1
-        for a in range(n):
-            for arrow in range(1, n + 1):
-                for key, (c, _) in (
-                    (("r", a, arrow), (self.bimodule.right_act(arrow, a))),
-                    (("l", a, arrow), (self.bimodule.left_act(a, arrow))),
-                ):
-                    k, e = c.as_root_of_unity()
-                    (raw_r if key[0] == "r" else raw_l)[key[1:]] = (k, e)
-                    conductor = conductor * k // gcd(conductor, k)
-        rexp = {k: (e * (conductor // kk)) % conductor for k, (kk, e) in raw_r.items()}
-        lexp = {k: (e * (conductor // kk)) % conductor for k, (kk, e) in raw_l.items()}
+        for c in (*right.values(), *left.values()):
+            k, _ = c.as_root_of_unity()
+            conductor = conductor * k // gcd(conductor, k)
+        rexp = {key: root_exponent(c, conductor) for key, c in right.items()}
+        lexp = {key: root_exponent(c, conductor) for key, c in left.items()}
         self._exp_tables = (conductor, rexp, lexp)
         return self._exp_tables
 
@@ -203,10 +204,6 @@ class QuiverAlgebra:
         start[0] = 1
         F = [[None] * (mmax + 1) for _ in range(lmax + 1)]
         F[0][0] = start
-
-        def rot(v, e):
-            return v[-e:] + v[:-e] if e else v
-
         for a in range(lmax + 1):
             for b in range(mmax + 1):
                 if a == 0 and b == 0:
@@ -216,12 +213,12 @@ class QuiverAlgebra:
                 acc = list(zero)
                 if a > 0:
                     e = rexp[((j + b) % n, (i + a - 1) % n + 1)]
-                    v = rot(F[a - 1][b], e)
+                    v = rotate(F[a - 1][b], e)
                     for k in range(conductor):
                         acc[k] += v[k]
                 if b > 0:
                     e = lexp[((i + a) % n, (j + b - 1) % n + 1)]
-                    v = rot(F[a][b - 1], e)
+                    v = rotate(F[a][b - 1], e)
                     for k in range(conductor):
                         acc[k] += v[k]
                 F[a][b] = acc
@@ -299,7 +296,7 @@ class QuiverAlgebra:
         carry = (m + j - (m + j) % n) // n
         e = (hbar_exp * j * l + s * (i + l % n) * carry * (conductor // n)) % conductor
         buckets = _binomial_buckets(conductor, hbar_exp, l, m)
-        return list(buckets[-e:] + buckets[:-e]) if e else list(buckets)
+        return list(rotate(buckets, e))
 
     def cross_check(self, max_total_length: int) -> CrossCheckReport:
         """Thin-split sum == closed formula for every pair with l+m below
@@ -311,11 +308,7 @@ class QuiverAlgebra:
         """
         n = self.n
         conductor, _, _ = self._exponent_tables()
-        k, e = self.hbar.as_root_of_unity()
-        hbar_exp = (e * (conductor // k)) % conductor
-
-        def is_zero_mod_phi(vec):
-            return int_vec_zero_mod_phi(vec, conductor)
+        hbar_exp = root_exponent(self.hbar, conductor)
 
         checked = 0
         for i in range(n):
@@ -328,8 +321,8 @@ class QuiverAlgebra:
                         got = F[l][m]
                         want = self._closed_form_vec(i, j, l, m, conductor, hbar_exp)
                         checked += 1
-                        if got != want and not is_zero_mod_phi(
-                            [a - b for a, b in zip(got, want)]
+                        if got != want and not int_vec_zero_mod_phi(
+                            [a - b for a, b in zip(got, want)], conductor
                         ):
                             return CrossCheckReport(
                                 passed=False,

@@ -10,7 +10,6 @@ from math import gcd
 
 import pytest
 
-import mqg.algebra
 import mqg.cocycle
 import mqg.cyclo
 import mqg.shuffle
@@ -61,8 +60,6 @@ def _fresh_caches():
         mqg.cocycle._qq_power_cached,
         mqg.shuffle._gauss_binomial_cached,
         mqg.shuffle._binomial_buckets,
-        mqg.algebra._pair_buckets,
-        mqg.algebra._trinom_buckets,
     ):
         f.cache_clear()
     yield

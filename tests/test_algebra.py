@@ -89,10 +89,15 @@ def test_verify_small_families():
 
 
 def test_fast_and_generic_engines_agree():
-    M = _M(2, 1)
-    fast = verify_quasi_bialgebra(M)
-    generic = verify_quasi_bialgebra(M, product=M.product)
-    assert fast["passed"] and generic["passed"]
+    # the integer engine against the CycloNum oracle, every family n <= 3
+    families = [(n, s, q) for n in (2, 3) for s in range(n)
+                for q in legal_q_values(CocycleParams.standard(n, s))]
+    assert len(families) == 13
+    for n, s, q in families:
+        M = MajidAlgebra.build(n, s, q)
+        fast = verify_quasi_bialgebra(M)
+        assert fast == verify_quasi_bialgebra(M, product=M.product), (n, s, q)
+        assert fast["passed"]
 
 
 def test_verify_negative_control():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mqg.cyclo import CycloNum, root_of_unity
@@ -82,3 +87,37 @@ def test_to_json_shape():
     assert doc["n"] == 2 and doc["s"] == 1
     assert len(doc["left"]) == 4 and len(doc["right"]) == 4
     assert all({"g", "x", "coeff", "image"} <= set(row) for row in doc["left"])
+
+
+# Dumps the bimodule of M(3, 0, zeta_3), after the pentagon and 2-cocycle
+# reports of every n = 9 family when given the argument "after".
+_DUMP_BIMODULE = """
+import json, sys
+from mqg import (CocycleParams, build_bimodule, pentagon_report,
+                 root_of_unity, sigma_report)
+if sys.argv[1:] == ["after"]:
+    for s in range(9):
+        pentagon_report(CocycleParams.standard(9, s))
+        sigma_report(CocycleParams.standard(9, s))
+bim = build_bimodule(CocycleParams.standard(3, 0), root_of_unity(3))
+print(json.dumps(bim.to_json()))
+"""
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 2: global caches keyed by CycloNum hand back equal "
+           "values at other conductors, so the n = 9 reports leave "
+           "conductor-9 coefficients in the later bimodule")
+def test_output_does_not_depend_on_earlier_calls():
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    dumps = []
+    for args in ([], ["after"]):
+        proc = subprocess.run([sys.executable, "-c", _DUMP_BIMODULE, *args],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        if proc.returncode:
+            raise RuntimeError(proc.stderr)
+        dumps.append(proc.stdout)
+    assert dumps[0] == dumps[1]

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +55,10 @@ def test_verify_rejects_tampered_dump(tmp_path, capsys):
     doc["mult"][3]["coeff"]["num"][0] += 1
     dump.write_text(json.dumps(doc))
     assert run(["verify", "--import", str(dump), "--json"]) == 1
+    assert run(["tensor", "--alg", str(dump), "--left", "I(0,1)",
+                "--right", "I(1,1)", "--json"]) == 1
+    assert run(["fpdim", "--alg", str(dump), "--object", "I(0,2)",
+                "--json"]) == 1
 
 
 def test_product(capsys):
@@ -103,12 +111,31 @@ def test_tensor_and_fpdim(tmp_path, capsys):
     assert abs(doc["fp_dimension"] - 3) < 1e-9
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys):
     assert run(["bogus"]) == 2
     assert run(["verify", "--n", "2"]) == 2
     assert run(["decompose", "--in", "/nonexistent/path.json"]) == 2
     assert run(["product", "--n", "2", "--s", "1", "--q-exp", "1",
                 "bad", "p(0,1)"]) == 2
+    assert run(["product", "--n", "2", "--s", "1", "--q-exp", "1",
+                "p(0,5)", "p(0,1)"]) == 2
+    assert run(["build", "--n", "120", "--s", "1", "--q-exp", "1"]) == 2
+    module = tmp_path / "bad-module.json"
+    module.write_text(json.dumps({"n": 2, "d": 2, "dims": [1, 1],
+                                  "arrows": 5}))
+    assert run(["decompose", "--in", str(module), "--json"]) == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_invalid_max_conductor_is_a_usage_error(value):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "MQG_MAX_CONDUCTOR": value, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mqg.cli", "classify", "--n", "2"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "MQG_MAX_CONDUCTOR" in proc.stderr
 
 
 def test_help_exits_clean(capsys):

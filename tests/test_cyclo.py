@@ -8,12 +8,16 @@ from mqg.cyclo import (
     ConductorLimitError,
     CycloNum,
     InvalidConductorError,
+    cyclic_mul,
     cyclotomic_polynomial,
     euler_phi,
     int_vec_zero_mod_phi,
     mult_order,
+    root_exponent,
     root_of_unity,
+    rotate,
 )
+from mqg.shuffle import gauss_binomial_poly
 
 
 def test_minimal_polynomial_relations():
@@ -70,6 +74,9 @@ def test_as_root_of_unity():
     k, e = (root_of_unity(9, 6)).as_root_of_unity()
     assert root_of_unity(k, e) == root_of_unity(9, 6)
     assert (k, e) == (3, 2)
+    assert root_exponent(root_of_unity(9, 6), 9) == 6
+    assert root_exponent(root_of_unity(4, 3), 16) == 12
+    assert root_exponent(CycloNum.one(), 5) == 0
 
 
 def test_json_round_trip():
@@ -97,6 +104,33 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
     for n in (9, 12, 15, 30):
         assert len(cyclotomic_polynomial(n)) == euler_phi(n) + 1
+
+
+def test_cyclic_mul_is_product_then_bucketing():
+    # bucketing at x -> x^step is a ring map Z[x] -> Z[x]/(x^N - 1)
+    def bucket(poly, N, step):
+        out = [0] * N
+        for e, c in enumerate(poly):
+            out[e * step % N] += c
+        return out
+
+    for N in (1, 2, 3, 4, 6, 9, 16):
+        for step in range(N):
+            for l1, m1, l2, m2 in ((0, 0, 3, 2), (1, 1, 2, 2), (4, 3, 5, 1),
+                                   (2, 5, 3, 3), (6, 6, 0, 4)):
+                a = gauss_binomial_poly(l1 + m1, l1)
+                b = gauss_binomial_poly(l2 + m2, l2)
+                ab = [0] * (len(a) + len(b) - 1)
+                for i, x in enumerate(a):
+                    for j, y in enumerate(b):
+                        ab[i + j] += x * y
+                assert (cyclic_mul(bucket(a, N, step), bucket(b, N, step))
+                        == bucket(ab, N, step))
+        # rotation by e is the cyclic product with x^e
+        v = bucket(gauss_binomial_poly(5, 2), N, 1)
+        for e in range(-N, 2 * N):
+            x_e = bucket([0] * (e % N) + [1], N, 1)
+            assert rotate(v, e) == cyclic_mul(v, x_e)
 
 
 def test_int_vec_reduction():
