@@ -3,9 +3,15 @@ cyclic quiver.
 
 A comodule over the length-d truncated cycle coalgebra is stored on the
 module side: a dimension vector over the n vertices plus an arrow matrix
-per vertex, with every composite of d consecutive arrows zero.  All
-decomposition machinery is exact linear algebra over CycloNum; the one
-floating-point computation is the power iteration inside
+per vertex, with every composite of d consecutive arrows zero.  The
+composites from a vertex are built as one chain, each from the one
+before by a single product with the next arrow
+(:meth:`CycleModule.composite_chain`); the rank table, the nilpotency
+check and the tensor check read these chains.  All decomposition
+machinery is exact linear algebra over CycloNum with plain products, not
+the global product cache, so every value keeps the conductor of its
+inputs; one Gauss-Jordan routine serves rank, kernel and inverse.  The
+one floating-point computation is the power iteration inside
 :func:`fp_dimension`, which is always compared against an exact row-sum
 certificate.
 """
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclo import CycloNum, cached_mul
+from .cyclo import CycloNum
 from .quiver import Path, PathVector
 from .algebra import MajidAlgebra
 
@@ -54,52 +60,77 @@ _ZERO = CycloNum.zero()
 _ONE = CycloNum.one()
 
 
-def _mat(rows, cols, fill=None):
-    return [[fill if fill is not None else _ZERO for _ in range(cols)]
-            for _ in range(rows)]
+def _mat(rows, cols):
+    return [[_ZERO] * cols for _ in range(rows)]
 
 
-def _mat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    out = _mat(rows, cols)
-    for i in range(rows):
-        for k in range(inner):
-            a = A[i][k]
+def _identity(k):
+    return [[_ONE if a == b else _ZERO for b in range(k)] for a in range(k)]
+
+
+def _mat_mul(A, B, cols: int):
+    """A B for B with `cols` columns; explicit because B may have no rows
+    (a zero-dimensional vertex) while A B still has `cols` columns."""
+    out = _mat(len(A), cols)
+    for arow, orow in zip(A, out):
+        for a, brow in zip(arow, B):
             if a.is_zero():
                 continue
-            for j in range(cols):
-                b = B[k][j]
+            for c, b in enumerate(brow):
                 if not b.is_zero():
-                    out[i][j] = out[i][j] + cached_mul(a, b)
+                    orow[c] = orow[c] + a * b
     return out
 
 
-def _rank(A) -> int:
-    """Row-echelon rank by exact Gaussian elimination."""
-    if not A or not A[0]:
-        return 0
-    M = [row[:] for row in A]
-    rows, cols = len(M), len(M[0])
-    r = 0
+def _row_reduce(rows, cols: int):
+    """Exact Gauss-Jordan elimination.  Returns (R, pivots): R holds the
+    rows in reduced row-echelon form, row t with its leading one in
+    column pivots[t] for t < len(pivots)."""
+    R = [row[:] for row in rows]
+    pivots = []
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if not M[i][c].is_zero()), None)
+        r = len(pivots)
+        if r == len(R):
+            break
+        piv = next((i for i in range(r, len(R)) if not R[i][c].is_zero()),
+                   None)
         if piv is None:
             continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = M[r][c].inverse()
-        M[r] = [cached_mul(x, inv) for x in M[r]]
-        for i in range(rows):
-            if i != r and not M[i][c].is_zero():
-                f = M[i][c]
-                M[i] = [M[i][j] - cached_mul(f, M[r][j]) for j in range(cols)]
-        r += 1
-        if r == rows:
-            break
-    return r
+        R[r], R[piv] = R[piv], R[r]
+        inv = R[r][c].inverse()
+        R[r] = [x if x.is_zero() else x * inv for x in R[r]]
+        for i, row in enumerate(R):
+            f = row[c]
+            if i != r and not f.is_zero():
+                R[i] = [x if y.is_zero() else x - f * y
+                        for x, y in zip(row, R[r])]
+        pivots.append(c)
+    return R, pivots
 
 
-def _nullity(A, cols: int) -> int:
-    return cols - _rank(A)
+def _rank(A, cols: int) -> int:
+    return len(_row_reduce(A, cols)[1])
+
+
+def _kernel_basis(rows, cols: int):
+    """Basis of the kernel of the row system, one vector per free
+    column."""
+    R, pivots = _row_reduce(rows, cols)
+    out = []
+    for fc in sorted(set(range(cols)) - set(pivots)):
+        vec = [_ZERO] * cols
+        vec[fc] = _ONE
+        for row, pc in zip(R, pivots):
+            vec[pc] = -row[fc]
+        out.append(vec)
+    return out
+
+
+def _inverse(U):
+    """The inverse of an invertible square matrix: row-reduce [U | I]."""
+    k = len(U)
+    R, _ = _row_reduce([row + e for row, e in zip(U, _identity(k))], 2 * k)
+    return [row[k:] for row in R]
 
 
 # ---------------------------------------------------------------------------
@@ -140,28 +171,31 @@ class CycleModule:
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def composite(self, i: int, k: int):
-        """The composite of k consecutive arrows starting at vertex i,
-        always of shape dims[i+k] x dims[i] even through zero vertices."""
+    def composite_chain(self, i: int, k: int):
+        """[composite(i, 0), ..., composite(i, k)], each from the one
+        before by one product with the next arrow.  composite(i, t) has
+        shape dims[i+t] x dims[i], also through zero-dimensional
+        vertices."""
         i %= self.n
         cols = self.dims[i]
-        out = [[_ONE if a == b else _ZERO for b in range(cols)]
-               for a in range(cols)]
+        chain = [_identity(cols)]
         for t in range(k):
-            A = self.arrows[(i + t) % self.n]
-            rows = self.dims[(i + t + 1) % self.n]
-            new = _mat(rows, cols)
-            for r in range(rows):
-                for mid in range(len(out)):
-                    a = A[r][mid]
-                    if a.is_zero():
-                        continue
-                    for c in range(cols):
-                        b = out[mid][c]
-                        if not b.is_zero():
-                            new[r][c] = new[r][c] + cached_mul(a, b)
-            out = new
-        return out
+            chain.append(_mat_mul(self.arrows[(i + t) % self.n], chain[-1],
+                                  cols))
+        return chain
+
+    def composite(self, i: int, k: int):
+        """The composite of k consecutive arrows starting at vertex i."""
+        return self.composite_chain(i, k)[-1]
+
+    def rank_table(self):
+        """r[i][k], the rank of composite(i, k), for every vertex i and
+        0 <= k <= d: one chain per vertex, n (d - 1) products and ranks."""
+        table = []
+        for i, cols in enumerate(self.dims):
+            chain = self.composite_chain(i, self.d - 1)
+            table.append([cols] + [_rank(C, cols) for C in chain[1:]] + [0])
+        return table
 
     def rank_profile(self, i: int, k: int) -> int:
         """r(i, k): rank of the k-fold composite from vertex i."""
@@ -169,7 +203,7 @@ class CycleModule:
             return self.dims[i % self.n]
         if k >= self.d:
             return 0
-        return _rank(self.composite(i, k))
+        return _rank(self.composite(i, k), self.dims[i % self.n])
 
     def to_json(self) -> dict:
         return {
@@ -284,16 +318,12 @@ def decompose(M: CycleModule) -> dict:
     """Krull-Schmidt multiplicities {(top, length): mult} by the rank
     profile of iterated arrow composites."""
     n, d = M.n, M.d
-
-    def r(i, k):
-        if k < 0:
-            raise ValueError
-        return M.rank_profile(i, k)
-
+    r = [row + [0] for row in M.rank_table()]  # r[i][k], 0 <= k <= d + 1
     out = {}
     for i in range(n):
         for ell in range(1, d + 1):
-            mult = (r(i, ell - 1) - r(i, ell)) - (r(i - 1, ell) - r(i - 1, ell + 1))
+            mult = ((r[i][ell - 1] - r[i][ell])
+                    - (r[i - 1][ell] - r[i - 1][ell + 1]))
             if mult < 0:
                 raise NotAComoduleError("negative multiplicity from rank profile")
             if mult:
@@ -308,12 +338,11 @@ def decompose(M: CycleModule) -> dict:
     return out
 
 
-def hom_dim(X: CycleModule, Y: CycleModule) -> int:
-    """dim Hom(X, Y): maps f_v with Y_v f_v = f_{v+1} X_v, exact kernel."""
-    if (X.n, X.d) != (Y.n, Y.d):
-        raise ValueError("mixed parameters in hom_dim")
+def _hom_system(X: CycleModule, Y: CycleModule):
+    """The linear system of Hom(X, Y): maps f_v (Y.dims[v] x X.dims[v],
+    flattened row by row at offsets[v]) with Y_v f_v = f_{v+1} X_v.
+    Returns (rows, offsets, unknowns)."""
     n = X.n
-    # unknowns: entries of f_v (Y.dims[v] x X.dims[v]), flattened
     offsets = []
     total = 0
     for v in range(n):
@@ -329,8 +358,8 @@ def hom_dim(X: CycleModule, Y: CycleModule) -> int:
                 for k in range(Y.dims[v]):
                     c = Y.arrows[v][a][k]
                     if not c.is_zero():
-                        row[offsets[v] + k * X.dims[v] + b] = \
-                            row[offsets[v] + k * X.dims[v] + b] + c
+                        idx = offsets[v] + k * X.dims[v] + b
+                        row[idx] = row[idx] + c
                 for k in range(X.dims[w]):
                     c = X.arrows[v][k][b]
                     if not c.is_zero():
@@ -338,7 +367,15 @@ def hom_dim(X: CycleModule, Y: CycleModule) -> int:
                         row[idx] = row[idx] - c
                 if any(not x.is_zero() for x in row):
                     rows.append(row)
-    return _nullity(rows, total)
+    return rows, offsets, total
+
+
+def hom_dim(X: CycleModule, Y: CycleModule) -> int:
+    """dim Hom(X, Y), the nullity of its linear system, exact."""
+    if (X.n, X.d) != (Y.n, Y.d):
+        raise ValueError("mixed parameters in hom_dim")
+    rows, _, total = _hom_system(X, Y)
+    return total - _rank(rows, total)
 
 
 def _interval_hom_table(n: int, d: int):
@@ -409,89 +446,33 @@ def is_indecomposable(M: CycleModule) -> bool:
     if not basis:
         return False  # the zero module
     k = len(basis)
+    nonzero = [{(v, s, t): x for v, mat in enumerate(elem)
+                for s, row in enumerate(mat) for t, x in enumerate(row)
+                if not x.is_zero()} for elem in basis]
     gram = _mat(k, k)
     for a in range(k):
-        for b in range(k):
-            prod = [_mat_mul(basis[a][v], basis[b][v]) for v in range(M.n)]
-            tr = CycloNum.zero()
-            for v in range(M.n):
-                for t in range(M.dims[v]):
-                    tr = tr + prod[v][t][t]
-            gram[a][b] = tr
-    return k - _rank(gram) == k - 1
+        for b in range(a, k):
+            # tr(x_a x_b) = sum_v sum_{s,t} x_a[v][s][t] x_b[v][t][s]
+            tr = _ZERO
+            for (v, s, t), x in nonzero[a].items():
+                y = nonzero[b].get((v, t, s))
+                if y is not None:
+                    tr = tr + x * y
+            gram[a][b] = gram[b][a] = tr
+    return _rank(gram, k) == 1
 
 
 def _end_basis(M: CycleModule):
     """A basis of End(M), each element a tuple of per-vertex matrices."""
-    n = M.n
-    offsets = []
-    total = 0
-    for v in range(n):
-        offsets.append(total)
-        total += M.dims[v] * M.dims[v]
-    rows = []
-    for v in range(n):
-        w = (v + 1) % n
-        for a in range(M.dims[w]):
-            for b in range(M.dims[v]):
-                row = [_ZERO] * total
-                for k in range(M.dims[v]):
-                    c = M.arrows[v][a][k]
-                    if not c.is_zero():
-                        idx = offsets[v] + k * M.dims[v] + b
-                        row[idx] = row[idx] + c
-                for k in range(M.dims[w]):
-                    c = M.arrows[v][k][b]
-                    if not c.is_zero():
-                        idx = offsets[w] + a * M.dims[w] + k
-                        row[idx] = row[idx] - c
-                if any(not x.is_zero() for x in row):
-                    rows.append(row)
-    vecs = _kernel_basis(rows, total)
+    rows, offsets, total = _hom_system(M, M)
     out = []
-    for vec in vecs:
+    for vec in _kernel_basis(rows, total):
         mats = []
-        for v in range(n):
-            m = _mat(M.dims[v], M.dims[v])
-            for a in range(M.dims[v]):
-                for b in range(M.dims[v]):
-                    m[a][b] = vec[offsets[v] + a * M.dims[v] + b]
-            mats.append(m)
+        for v, dim in enumerate(M.dims):
+            base = offsets[v]
+            mats.append([vec[base + a * dim:base + (a + 1) * dim]
+                         for a in range(dim)])
         out.append(tuple(mats))
-    return out
-
-
-def _kernel_basis(rows, cols):
-    """Basis of the kernel of the row system, exact."""
-    if cols == 0:
-        return []
-    M = [row[:] for row in rows]
-    nr = len(M)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, nr) if not M[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = M[r][c].inverse()
-        M[r] = [cached_mul(x, inv) for x in M[r]]
-        for i in range(nr):
-            if i != r and not M[i][c].is_zero():
-                f = M[i][c]
-                M[i] = [M[i][j] - cached_mul(f, M[r][j]) for j in range(cols)]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    free = [c for c in range(cols) if c not in set(pivots)]
-    out = []
-    for fc in free:
-        vec = [_ZERO] * cols
-        vec[fc] = _ONE
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -M[ri][fc] if ri < len(M) else _ZERO
-        out.append(vec)
     return out
 
 
@@ -501,9 +482,10 @@ def uniserial_check(M: CycleModule) -> bool:
     total = M.total_dim()
     if total == 0:
         return True
+    r = M.rank_table()
     sizes = [total]
     for k in range(1, M.d + 1):
-        dim_rad_k = sum(M.rank_profile(i, k) for i in range(M.n))
+        dim_rad_k = sum(row[k] for row in r)
         sizes.append(dim_rad_k)
         if dim_rad_k == 0:
             break
@@ -562,6 +544,23 @@ def brute_force_indecomposables(n: int, d: int, max_total: int):
 # ---------------------------------------------------------------------------
 
 
+def _tensor_index(X: CycleModule, Y: CycleModule):
+    """The basis of X (x) Y by vertex: blocks[v] lists the (i, j, a, b)
+    with i + j = v mod n (a a basis index of X_i, b of Y_j), and pos maps
+    each to its place in its block."""
+    n = X.n
+    blocks = [[] for _ in range(n)]
+    pos = {}
+    for i in range(n):
+        for j in range(n):
+            v = (i + j) % n
+            for a in range(X.dims[i]):
+                for b in range(Y.dims[j]):
+                    pos[(i, j, a, b)] = len(blocks[v])
+                    blocks[v].append((i, j, a, b))
+    return blocks, pos
+
+
 def comodule_tensor(M: MajidAlgebra, X: CycleModule, Y: CycleModule) -> CycleModule:
     """X tensor Y with the coaction pushed through M's multiplication.
 
@@ -572,17 +571,8 @@ def comodule_tensor(M: MajidAlgebra, X: CycleModule, Y: CycleModule) -> CycleMod
     n, d = M.n, M.d
     if (X.n, X.d) != (n, d) or (Y.n, Y.d) != (n, d):
         raise ValueError("tensor factors built over different parameters")
-    # index blocks: vertex v hosts pairs (i, j) with i+j = v mod n
-    blocks = {v: [] for v in range(n)}  # (i, j, x_index, y_index) -> position
-    pos = {}
-    for i in range(n):
-        for j in range(n):
-            v = (i + j) % n
-            for a in range(X.dims[i]):
-                for b in range(Y.dims[j]):
-                    pos[(i, j, a, b)] = len(blocks[v])
-                    blocks[v].append((i, j, a, b))
-    dims = tuple(len(blocks[v]) for v in range(n))
+    blocks, pos = _tensor_index(X, Y)
+    dims = tuple(len(block) for block in blocks)
     arrows = []
     for v in range(n):
         w = (v + 1) % n
@@ -593,13 +583,13 @@ def comodule_tensor(M: MajidAlgebra, X: CycleModule, Y: CycleModule) -> CycleMod
             for r in range(X.dims[(i + 1) % n]):
                 e = X.arrows[i][r][a]
                 if not e.is_zero():
-                    mat[pos[((i + 1) % n, j, r, b)]][col] = \
-                        mat[pos[((i + 1) % n, j, r, b)]][col] + cached_mul(cx, e)
+                    row = pos[((i + 1) % n, j, r, b)]
+                    mat[row][col] = mat[row][col] + cx * e
             for r in range(Y.dims[(j + 1) % n]):
                 e = Y.arrows[j][r][b]
                 if not e.is_zero():
                     row = pos[(i, (j + 1) % n, a, r)]
-                    mat[row][col] = mat[row][col] + cached_mul(cy, e)
+                    mat[row][col] = mat[row][col] + cy * e
         arrows.append(mat)
     return CycleModule(n, d, dims, arrows)
 
@@ -615,18 +605,12 @@ def tensor_consistency_check(M: MajidAlgebra, X: CycleModule, Y: CycleModule,
     n, d = M.n, M.d
     if T is None:
         T = comodule_tensor(M, X, Y)
-    pos = {}
-    blocks = {v: [] for v in range(n)}
-    for i in range(n):
-        for j in range(n):
-            v = (i + j) % n
-            for a in range(X.dims[i]):
-                for b in range(Y.dims[j]):
-                    pos[(i, j, a, b)] = len(blocks[v])
-                    blocks[v].append((i, j, a, b))
+    blocks, pos = _tensor_index(X, Y)
+    chains_T = [T.composite_chain(v, d) for v in range(n)]
+    chains_X = [X.composite_chain(i, d - 1) for i in range(n)]
+    chains_Y = [Y.composite_chain(j, d - 1) for j in range(n)]
     for k in range(d + 1):
         for v in range(n):
-            comp = T.composite(v, k)
             want = _mat(len(blocks[(v + k) % n]), len(blocks[v]))
             for col, (i, j, a, b) in enumerate(blocks[v]):
                 for t in range(k + 1):
@@ -636,8 +620,8 @@ def tensor_consistency_check(M: MajidAlgebra, X: CycleModule, Y: CycleModule,
                     coeff, target = M.product(Path(n, i, t), Path(n, j, u))
                     if target is None or coeff.is_zero():
                         continue
-                    Ax = X.composite(i, t)
-                    By = Y.composite(j, u)
+                    Ax = chains_X[i][t]
+                    By = chains_Y[j][u]
                     for r in range(X.dims[(i + t) % n]):
                         if Ax[r][a].is_zero():
                             continue
@@ -645,10 +629,9 @@ def tensor_consistency_check(M: MajidAlgebra, X: CycleModule, Y: CycleModule,
                             if By[s2][b].is_zero():
                                 continue
                             row = pos[((i + t) % n, (j + u) % n, r, s2)]
-                            want[row][col] = want[row][col] + cached_mul(
-                                coeff, cached_mul(Ax[r][a], By[s2][b])
-                            )
-            if comp != want:
+                            want[row][col] = want[row][col] + coeff * (
+                                Ax[r][a] * By[s2][b])
+            if chains_T[v][k] != want:
                 return False
     return True
 
@@ -753,9 +736,9 @@ def random_module(n: int, d: int, rng: random.Random, max_total: int = 9):
     M = direct_sum([I.realize() for I in parts])
     # conjugate: new arrows U_{v+1} A_v U_v^{-1} with unimodular U_v
     us = [_random_unimodular(M.dims[v], rng) for v in range(n)]
-    uinvs = [_unimodular_inverse(u) for u in us]
     arrows = [
-        _mat_mul(_mat_mul(us[(v + 1) % n], M.arrows[v]), uinvs[v])
+        _mat_mul(_mat_mul(us[(v + 1) % n], M.arrows[v], M.dims[v]),
+                 _inverse(us[v]), M.dims[v])
         for v in range(n)
     ]
     multiset = {}
@@ -766,31 +749,14 @@ def random_module(n: int, d: int, rng: random.Random, max_total: int = 9):
 
 
 def _random_unimodular(k: int, rng: random.Random):
-    out = [[_ONE if a == b else _ZERO for b in range(k)] for a in range(k)]
+    out = _identity(k)
     if k < 2:
         return out
     for _ in range(2 * k):
         a, b = rng.randrange(k), rng.randrange(k)
         if a == b:
             continue
-        shear = [[_ONE if x == y else _ZERO for y in range(k)] for x in range(k)]
+        shear = _identity(k)
         shear[a][b] = CycloNum.from_rational(rng.randint(-2, 2))
-        out = _mat_mul(shear, out)
+        out = _mat_mul(shear, out, k)
     return out
-
-
-def _unimodular_inverse(U):
-    """Invert an integer unimodular matrix by Gauss-Jordan, exact."""
-    k = len(U)
-    M = [row[:] + [_ONE if i == j else _ZERO for j in range(k)]
-         for i, row in enumerate(U)]
-    for c in range(k):
-        piv = next(i for i in range(c, k) if not M[i][c].is_zero())
-        M[c], M[piv] = M[piv], M[c]
-        inv = M[c][c].inverse()
-        M[c] = [cached_mul(x, inv) for x in M[c]]
-        for i in range(k):
-            if i != c and not M[i][c].is_zero():
-                f = M[i][c]
-                M[i] = [M[i][j] - cached_mul(f, M[c][j]) for j in range(2 * k)]
-    return [row[k:] for row in M]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from mqg.cyclo import CycloNum, root_of_unity
+from mqg.cyclo import CycloNum, cached_mul, root_of_unity
 from mqg.cocycle import CocycleParams, legal_q_values
 from mqg.algebra import MajidAlgebra
 from mqg.corep import (
@@ -201,3 +201,87 @@ def test_fp_dimension_multiplicative_on_tensor():
     cls_T = tuple(T.dims)
     _, cert = fp_dimension(F, cls_T)
     assert cert == 2 * 3
+
+
+def _naive_composite(M, i, k):
+    """The k-fold arrow composite from vertex i as a left fold of the
+    arrow matrices, each product written out entry by entry."""
+    n, zero = M.n, CycloNum.zero()
+    cols = M.dims[i]
+    C = [[CycloNum.one() if a == b else zero for b in range(cols)]
+         for a in range(cols)]
+    for t in range(k):
+        A = M.arrows[(i + t) % n]
+        rows = M.dims[(i + t + 1) % n]
+        C = [[sum((A[r][m] * C[m][c] for m in range(len(C))), zero)
+              for c in range(cols)] for r in range(rows)]
+    return C
+
+
+def _chain_modules():
+    rng = random.Random(11)
+    X = IntervalModule(2, 4, 0, 2).realize()
+    Y = IntervalModule(2, 4, 1, 3).realize()
+    return [
+        IntervalModule(4, 4, 0, 2).realize(),  # dims (1, 1, 0, 0)
+        IntervalModule(3, 3, 2, 3).realize(),
+        comodule_tensor(_M(2, 1), X, Y),
+        random_module(3, 3, rng, max_total=8)[0],
+    ]
+
+
+@pytest.mark.parametrize("M", _chain_modules(),
+                         ids=["interval-zero-vertices", "interval",
+                              "tensor", "random"])
+def test_composite_chain_is_the_naive_fold(M):
+    n, d = M.n, M.d
+    table = M.rank_table()
+    for i in range(n):
+        chain = M.composite_chain(i, d)
+        assert len(chain) == d + 1
+        for k in range(d + 1):
+            C = M.composite(i, k)
+            assert len(C) == M.dims[(i + k) % n]
+            assert all(len(row) == M.dims[i] for row in C)
+            assert C == _naive_composite(M, i, k) == chain[k]
+            assert M.rank_profile(i, k) == table[i][k]
+
+
+def test_zero_vertex_composite_shapes():
+    M = IntervalModule(4, 4, 0, 2).realize()
+    assert M.composite(0, 2) == []          # 0 x 1
+    assert M.composite(0, 4) == [[CycloNum.zero()]]  # 1 x 1, back at 0
+    assert M.composite(2, 2) == [[]]        # 1 x 0
+    assert M.composite(3, 1) == [[]]        # 1 x 0
+
+
+def test_decompose_tensor_modules_matches_brute_force():
+    M = _M(2, 1)
+    assert M.d == 4
+    mods = indecomposables(2, 4)
+    checked = 0
+    for I in mods:
+        for J in mods:
+            if I.length * J.length > 6:
+                continue
+            T = comodule_tensor(M, I.realize(), J.realize())
+            assert decompose(T) == brute_force_decompose(T), (str(I), str(J))
+            checked += 1
+    assert checked == 40
+
+
+def test_composites_keep_the_conductor_of_their_entries():
+    # a product of conductor-144 roots in the global product cache that
+    # equals zeta_16 * zeta_16 must not leak conductor 144 into corep
+    cached_mul(root_of_unity(144, 9), root_of_unity(144, 9))
+    z = root_of_unity(16, 1)
+    I = IntervalModule(2, 4, 0, 4).realize()
+    arrows = [[[x if x.is_zero() else z for x in row] for row in mat]
+              for mat in I.arrows]
+    M = CycleModule(2, 4, I.dims, arrows)
+    for i in range(2):
+        for k in range(M.d + 1):
+            for row in M.composite(i, k):
+                for x in row:
+                    assert 16 % x.n == 0, (i, k, x.n)
+    assert decompose(M) == {(0, 4): 1}
