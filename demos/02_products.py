@@ -1,8 +1,8 @@
 """Products on the cycle: two routes, one answer.
 
 Builds the graded multiplication from the arrow bimodule, multiplies a
-few paths by the explicit thin-split sum, and shows the agreement with
-the closed Gaussian-binomial formula.
+few paths by the thin-split sum (accumulated along lattice paths), and
+shows the agreement with the closed Gaussian-binomial formula.
 """
 from mqg import Path, PathVector, QuiverAlgebra, root_of_unity
 

@@ -16,7 +16,6 @@ from math import gcd
 
 from .cyclo import (
     CycloNum,
-    cached_mul,
     cyclic_mul,
     int_vec_zero_mod_phi,
     root_exponent,
@@ -28,6 +27,7 @@ from .cocycle import (
     legal_q_values,
     pentagon_report,
     phi,
+    q_conductor,
 )
 from .quiver import Path, PathVector, comultiply, parse_path
 from .shuffle import QuiverAlgebra, _binomial_buckets
@@ -114,9 +114,7 @@ class MajidAlgebra:
             for b, cb in v.terms.items():
                 coeff, target = self.product(a, b)
                 if target is not None:
-                    out = out + PathVector(
-                        self.n, {target: cached_mul(coeff, cached_mul(ca, cb))}
-                    )
+                    out = out + PathVector(self.n, {target: coeff * (ca * cb)})
         return out
 
     def phi_grouplike(self, i: int, j: int, k: int) -> CycloNum:
@@ -312,12 +310,12 @@ def verify_quasi_bialgebra(M: MajidAlgebra, product=None) -> dict:
                 if tbc is not None and not cbc.is_zero():
                     c2, t2 = prod(a, tbc)
                     if t2 is not None and not c2.is_zero():
-                        lhs = (cached_mul(cbc, c2), t2)
+                        lhs = (cbc * c2, t2)
                 rhs = None
                 if tab is not None and not cab.is_zero():
                     c2, t2 = prod(tab, c)
                     if t2 is not None and not c2.is_zero():
-                        rhs = (cached_mul(cab, c2), t2)
+                        rhs = (cab * c2, t2)
                 if lhs is None and rhs is None:
                     continue
                 phi_src = M.phi_grouplike(a.source, b.source, c.source)
@@ -326,7 +324,7 @@ def verify_quasi_bialgebra(M: MajidAlgebra, product=None) -> dict:
                     lhs is not None
                     and rhs is not None
                     and lhs[1] == rhs[1]
-                    and cached_mul(phi_src, lhs[0]) == cached_mul(phi_tgt, rhs[0])
+                    and phi_src * lhs[0] == phi_tgt * rhs[0]
                 )
                 if not ok:
                     return fail(
@@ -350,7 +348,7 @@ def verify_quasi_bialgebra(M: MajidAlgebra, product=None) -> dict:
                     c2, t2 = prod(a2, b2)
                     if t1 is None or t2 is None:
                         continue
-                    c12 = cached_mul(c1, c2)
+                    c12 = c1 * c2
                     if c12.is_zero():
                         continue
                     key = (t1, t2)
@@ -401,7 +399,7 @@ def solve_antipode(M: MajidAlgebra) -> dict:
                     Path(n, -(i + l), l - k), Path(n, i, k)
                 )
                 assert target is not None
-                acc = acc + cached_mul(c[((i + k) % n, l - k)], coeff)
+                acc = acc + c[((i + k) % n, l - k)] * coeff
             pivot, _ = M.product(Path(n, -(i + l), l), Path(n, i, 0))
             if pivot.is_zero():
                 raise StructureError(
@@ -467,30 +465,21 @@ def _verify_antipode(M: MajidAlgebra, table: dict) -> None:
                         sa1 = table[(legs[0].source, 0)]
                         sa3 = table[(legs[2].source, 0)]
                         sa5 = table[(legs[4].source, 0)]
-                        first = first + cached_mul(
-                            cached_mul(
-                                M.phi_grouplike(
-                                    legs[0].source, sa3[1].source, legs[4].source
-                                ),
-                                cached_mul(sa3[0], M.beta(legs[1])),
-                            ),
-                            M.alpha(legs[3]),
-                        )
-                        second = second + cached_mul(
-                            M.phi_grouplike(
-                                sa1[1].source, legs[2].source, sa5[1].source
-                            ).inverse(),
-                            cached_mul(
-                                cached_mul(sa1[0], sa5[0]),
-                                cached_mul(M.alpha(legs[1]), M.beta(legs[3])),
-                            ),
+                        first = first + M.phi_grouplike(
+                            legs[0].source, sa3[1].source, legs[4].source
+                        ) * (sa3[0] * M.beta(legs[1])) * M.alpha(legs[3])
+                        second = second + M.phi_grouplike(
+                            sa1[1].source, legs[2].source, sa5[1].source
+                        ).inverse() * (
+                            (sa1[0] * sa5[0])
+                            * (M.alpha(legs[1]) * M.beta(legs[3]))
                         )
         eps = one if l == 0 else CycloNum.zero()
         if first != eps or second != eps:
             raise StructureError(f"zigzag antipode equation fails on {p}")
         # coalgebra antimorphism: c_{i,k} c_{i+k,l-k} = c_{i,l}
         for k in range(l + 1):
-            if cached_mul(table[(i, k)][0], table[((i + k) % n, l - k)][0]) != \
+            if table[(i, k)][0] * table[((i + k) % n, l - k)][0] != \
                     table[(i, l)][0]:
                 raise StructureError(f"antipode is not a coalgebra antimorphism at {p}")
     # s = 0 is an honest Hopf algebra: m(S (x) id)Delta = eta eps = m(id (x) S)Delta
@@ -544,7 +533,7 @@ def classify(n: int) -> list[ClassificationEntry]:
         params = CocycleParams.standard(n, s)
         for q in legal_q_values(params):
             M = MajidAlgebra.build(n, s, q)
-            conductor = n if s == 0 else n * n
+            conductor = q_conductor(n, s)
             out.append(ClassificationEntry(
                 n=n, s=s, q_exp=root_exponent(q, conductor),
                 conductor=conductor, d=M.d, dim=M.dim,
@@ -673,7 +662,7 @@ def export_algebra(M: MajidAlgebra, format: str = "dict"):
 
 
 def _canonical_q_exp(M: MajidAlgebra) -> tuple[int, int]:
-    conductor = M.n if M.s == 0 else M.n * M.n
+    conductor = q_conductor(M.n, M.s)
     return root_exponent(M.q, conductor), conductor
 
 

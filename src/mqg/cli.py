@@ -17,7 +17,7 @@ import json
 import sys
 
 from .cyclo import ConductorLimitError, max_conductor, root_of_unity
-from .cocycle import CocycleParams, pentagon_report, sigma_report
+from .cocycle import CocycleParams, pentagon_report, q_conductor, sigma_report
 from .quiver import parse_path
 from .algebra import (
     MajidAlgebra,
@@ -34,12 +34,8 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
-def _q_conductor(n: int, s: int) -> int:
-    return n if s == 0 else n * n
-
-
 def _build_from_args(args) -> MajidAlgebra:
-    q = root_of_unity(_q_conductor(args.n, args.s), args.q_exp)
+    q = root_of_unity(q_conductor(args.n, args.s), args.q_exp)
     return MajidAlgebra.build(args.n, args.s, q)
 
 

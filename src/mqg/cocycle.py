@@ -8,7 +8,6 @@ qq^(s*i*(j+k-(j+k)')/n) with representatives taken in 0..n-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cyclo import CycloNum, cached_mul, root_of_unity
 
@@ -25,6 +24,7 @@ __all__ = [
     "twisted_product_scalar",
     "one_dim_modules",
     "legal_q_values",
+    "q_conductor",
     "action_scalar",
 ]
 
@@ -57,12 +57,7 @@ def phi(params: CocycleParams, i: int, j: int, k: int) -> CycloNum:
 
 
 def _qq_power(params: CocycleParams, e: int) -> CycloNum:
-    return _qq_power_cached(params.qq, e % params.n)
-
-
-@lru_cache(maxsize=None)
-def _qq_power_cached(qq: CycloNum, e: int) -> CycloNum:
-    return qq**e
+    return params.qq ** (e % params.n)
 
 
 def sigma(params: CocycleParams, i: int, j: int) -> CycloNum:
@@ -182,6 +177,12 @@ def legal_q_values(params: CocycleParams) -> list[CycloNum]:
     if params.s != 0:
         return [root_of_unity(n * n, 1 + k * n) for k in range(n)]
     return [root_of_unity(n, t) for t in range(n)]
+
+
+def q_conductor(n: int, s: int) -> int:
+    """The conductor of the legal q values of the (n, s) family: n for
+    s = 0, else n^2."""
+    return n if s == 0 else n * n
 
 
 def action_scalar(params: CocycleParams, q: CycloNum) -> CycloNum:

@@ -306,6 +306,8 @@ class CycloNum:
         if self._root:
             rn, re = self._root
             return root_of_unity(rn, -re)
+        if self.n == 1:
+            return CycloNum(1, [1 / self.c[0]])
         # extended Euclid on (self, Phi_n) over Q[x]
         phi_poly = [Fraction(x) for x in cyclotomic_polynomial(self.n)]
         r0, r1 = phi_poly, list(self.c)
@@ -519,7 +521,12 @@ def mult_order(a: CycloNum):
 
 @lru_cache(maxsize=1 << 18)
 def cached_mul(a: CycloNum, b: CycloNum) -> CycloNum:
-    """Memoized product; hot loops over small scalar sets should use this."""
+    """Memoized product.
+
+    Keyed by value, not by conductor: a hit may return the product of
+    equal operands at another conductor, so what it returns depends on
+    what ran earlier in the process.  Only `cocycle` and `bimodule` still
+    use it (ROADMAP item 2 removes it)."""
     return a * b
 
 

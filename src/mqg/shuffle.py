@@ -2,10 +2,10 @@
 
 Two independent evaluation routes exist for products of paths:
 
-* the thin-split sum, summed either term by term (explicit enumeration,
-  exponential in path lengths) or by lattice-path accumulation (the same
-  sum, grouped by how many arrows of each factor have been consumed;
-  exact and polynomial-time).  Neither route knows the closed form.
+* the thin-split sum, accumulated along lattice paths: the sum over the
+  thin splits of `quiver.thin_splits`, grouped by how many arrows of
+  each factor have been consumed (exact and polynomial-time).  It does
+  not know the closed form.
 * the closed product formula with Gaussian binomials.
 
 `cross_check` asserts both routes agree pair by pair.
@@ -14,12 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd
-import itertools
+from math import gcd
 
 from .cyclo import (
     CycloNum,
-    cached_mul,
     int_vec_zero_mod_phi,
     root_exponent,
     rotate,
@@ -35,9 +33,6 @@ __all__ = [
     "gauss_binomial_poly",
     "CrossCheckReport",
 ]
-
-_ENUM_LIMIT = 3000  # max thin splits for the explicit enumeration route
-
 
 @lru_cache(maxsize=None)
 def gauss_binomial_poly(total: int, k: int) -> tuple[int, ...]:
@@ -83,14 +78,9 @@ def _binomial_buckets(conductor: int, hbar_exp: int, l: int, m: int) -> tuple[in
     return tuple(buckets)
 
 
-@lru_cache(maxsize=1 << 16)
-def _gauss_binomial_cached(h: CycloNum, l: int, m: int) -> CycloNum:
-    return _eval_int_poly(gauss_binomial_poly(l + m, l), h)
-
-
 def gauss_binomial(h: CycloNum, l: int, m: int) -> CycloNum:
     """(l+m choose l)_h, exact for any h including roots of unity."""
-    return _gauss_binomial_cached(h, l, m)
+    return _eval_int_poly(gauss_binomial_poly(l + m, l), h)
 
 
 class GaussScalar:
@@ -98,6 +88,7 @@ class GaussScalar:
 
     def __init__(self, hbar: CycloNum):
         self.hbar = hbar
+        self._binomials = {}  # (l, m) -> (l+m choose l)_hbar
 
     def integer(self, l: int) -> CycloNum:
         return _eval_int_poly((1,) * l, self.hbar) if l else CycloNum.zero()
@@ -109,7 +100,10 @@ class GaussScalar:
         return acc
 
     def binomial(self, l: int, m: int) -> CycloNum:
-        return gauss_binomial(self.hbar, l, m)
+        hit = self._binomials.get((l, m))
+        if hit is None:
+            hit = self._binomials[(l, m)] = gauss_binomial(self.hbar, l, m)
+        return hit
 
 
 @dataclass
@@ -136,43 +130,7 @@ class QuiverAlgebra:
         params = CocycleParams.standard(n, s)
         return cls(build_bimodule(params, q))
 
-    # -- bracket scalars ---------------------------------------------------
-
-    def _bracket_alpha_step(self, i, a, j, b):
-        """Scalar of [X_{i+a+1} . g^{j+b}] (an alpha-arrow is consumed)."""
-        arrow = (i + a) % self.n + 1
-        c, _ = self.bimodule.right_act(arrow, j + b)
-        return c
-
-    def _bracket_beta_step(self, i, a, j, b):
-        """Scalar of [g^{i+a} . X_{j+b+1}] (a beta-arrow is consumed)."""
-        arrow = (j + b) % self.n + 1
-        c, _ = self.bimodule.left_act(i + a, arrow)
-        return c
-
-    # -- thin-split enumeration -------------------------------------------
-
-    def _shuffle_paths_enum(self, p1: Path, p2: Path) -> CycloNum:
-        """Coefficient of p_{i+j}^{l+m} as the explicit thin-split sum."""
-        i, l = p1.source, p1.length
-        j, m = p2.source, p2.length
-        total = CycloNum.zero()
-        one = CycloNum.one()
-        for ones in itertools.combinations(range(l + m), l):
-            ones = set(ones)
-            a = b = 0
-            scal = one
-            for t in range(l + m):
-                if t in ones:
-                    scal = cached_mul(scal, self._bracket_alpha_step(i, a, j, b))
-                    a += 1
-                else:
-                    scal = cached_mul(scal, self._bracket_beta_step(i, a, j, b))
-                    b += 1
-            total = total + scal
-        return total
-
-    # -- lattice accumulation of the same sum ------------------------------
+    # -- lattice accumulation of the thin-split sum ------------------------
 
     def _exponent_tables(self):
         """Bracket scalars as exponents of a common root of unity."""
@@ -195,7 +153,7 @@ class QuiverAlgebra:
         """All thin-split sums F[a][b] = coeff of p_i^a * p_j^b at once.
 
         Values are integer coefficient vectors modulo x^N - 1 for the
-        common conductor N; convert with `_vec_to_cyclo`.
+        common conductor N: F[a][b][k] is the coefficient of zeta_N^k.
         """
         conductor, rexp, lexp = self._exponent_tables()
         n = self.n
@@ -224,17 +182,6 @@ class QuiverAlgebra:
                 F[a][b] = acc
         return conductor, F
 
-    @staticmethod
-    def _vec_to_cyclo(conductor: int, vec) -> CycloNum:
-        return CycloNum(conductor, vec)
-
-    def _shuffle_paths(self, p1: Path, p2: Path) -> CycloNum:
-        l, m = p1.length, p2.length
-        if comb(l + m, l) <= _ENUM_LIMIT:
-            return self._shuffle_paths_enum(p1, p2)
-        conductor, F = self._shuffle_grid(p1.source, p2.source, l, m)
-        return self._vec_to_cyclo(conductor, F[l][m])
-
     # -- public products ---------------------------------------------------
 
     def shuffle_multiply(self, alpha: PathVector, beta: PathVector) -> PathVector:
@@ -242,8 +189,10 @@ class QuiverAlgebra:
         out = PathVector(self.n)
         for p1, c1 in alpha.terms.items():
             for p2, c2 in beta.terms.items():
-                coeff = self._shuffle_paths(p1, p2) * c1 * c2
-                target = Path(self.n, p1.source + p2.source, p1.length + p2.length)
+                l, m = p1.length, p2.length
+                conductor, F = self._shuffle_grid(p1.source, p2.source, l, m)
+                coeff = CycloNum(conductor, F[l][m]) * c1 * c2
+                target = Path(self.n, p1.source + p2.source, l + m)
                 out = out + PathVector(self.n, {target: coeff})
         return out
 
@@ -329,9 +278,9 @@ class QuiverAlgebra:
                                 pairs_checked=checked,
                                 witness={
                                     "i": i, "j": j, "l": l, "m": m,
-                                    "shuffle": self._vec_to_cyclo(
+                                    "shuffle": CycloNum(
                                         conductor, got).to_json(),
-                                    "closed_form": self._vec_to_cyclo(
+                                    "closed_form": CycloNum(
                                         conductor, want).to_json(),
                                 },
                             )

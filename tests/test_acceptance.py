@@ -10,7 +10,6 @@ from math import gcd
 
 import pytest
 
-import mqg.cocycle
 import mqg.cyclo
 import mqg.shuffle
 from mqg.cyclo import CycloNum, root_of_unity
@@ -50,15 +49,16 @@ from mqg.corep import (
 def _fresh_caches():
     """Each criterion is timed from a cold cache.
 
-    The product caches fill with millions of entries across the sweeps,
+    The scalar product cache `cyclo.cached_mul` (used by the cocycle and
+    bimodule layers) fills with millions of entries across the sweeps,
     which both evicts constantly and slows every allocation through the
-    garbage collector; clearing them between criteria makes each
-    measured time reproducible in isolation.
+    garbage collector, and the integer q-binomial buckets of
+    `shuffle._binomial_buckets` grow with every conductor seen; clearing
+    both between criteria makes each measured time reproducible in
+    isolation.
     """
     for f in (
         mqg.cyclo.cached_mul,
-        mqg.cocycle._qq_power_cached,
-        mqg.shuffle._gauss_binomial_cached,
         mqg.shuffle._binomial_buckets,
     ):
         f.cache_clear()

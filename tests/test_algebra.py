@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -234,6 +237,43 @@ def test_import_rejects_tampering():
     doc["mult"][5]["coeff"]["num"][0] += 1
     with pytest.raises(StructureError):
         import_algebra(json.dumps(doc))
+
+
+# Prints the export of M(2, 1, zeta_4), after verifying M(3, 1, zeta_9) and
+# M(4, 2, zeta_16) and solving their antipodes when given the argument
+# "after"; given "import", imports the dump read from stdin instead.
+_DUMP_ALGEBRA = """
+import sys
+from mqg import (MajidAlgebra, export_algebra, import_algebra, root_of_unity,
+                 solve_antipode, verify_quasi_bialgebra)
+if sys.argv[1:] == ["import"]:
+    import_algebra(sys.stdin.read())
+    sys.exit()
+if sys.argv[1:] == ["after"]:
+    for n, s, N in ((3, 1, 9), (4, 2, 16)):
+        M = MajidAlgebra.build(n, s, root_of_unity(N))
+        verify_quasi_bialgebra(M)
+        solve_antipode(M)
+print(export_algebra(MajidAlgebra.build(2, 1, root_of_unity(4)), "json"))
+"""
+
+
+def _run_dump(*args, stdin=None):
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", _DUMP_ALGEBRA, *args],
+                          env={**os.environ, "PYTHONPATH": src}, input=stdin,
+                          capture_output=True, text=True, timeout=300)
+    if proc.returncode:
+        raise RuntimeError(proc.stderr)
+    return proc.stdout
+
+
+def test_export_does_not_depend_on_earlier_calls():
+    fresh = _run_dump()
+    after = _run_dump("after")
+    assert after == fresh
+    _run_dump("import", stdin=after)
 
 
 def test_build_helper():

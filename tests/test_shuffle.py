@@ -4,7 +4,7 @@ import pytest
 
 from mqg.cyclo import CycloNum, root_of_unity
 from mqg.cocycle import CocycleParams, legal_q_values
-from mqg.quiver import Path, PathVector
+from mqg.quiver import Path, PathVector, thin_splits
 from mqg.shuffle import (
     GaussScalar,
     QuiverAlgebra,
@@ -83,6 +83,26 @@ def test_vertex_action_on_paths():
         assert c == A.hbar ** (2 * j)
 
 
+def _thin_split_sum(A, p1, p2):
+    """Coefficient of p1 . p2 as the explicit sum over thin splits: slot t
+    pairs the t-th segment of p1 with the t-th of p2, an arrow of one
+    with a vertex of the other, and contributes the bimodule scalar."""
+    n, parts = A.n, p1.length + p2.length
+    splits2 = dict(thin_splits(p2, parts))
+    total = CycloNum.zero()
+    for d, segs1 in thin_splits(p1, parts):
+        segs2 = splits2[tuple(1 - x for x in d)]
+        scal = CycloNum.one()
+        for u, v in zip(segs1, segs2):
+            if u.length:
+                c, _ = A.bimodule.right_act(u.source + 1, v.source)
+            else:
+                c, _ = A.bimodule.left_act(u.source, v.source + 1)
+            scal = scal * c
+        total = total + scal
+    return total
+
+
 def test_routes_agree_small():
     for n, s in ((2, 0), (2, 1), (3, 0), (3, 2)):
         A = _algebra(n, s)
@@ -91,11 +111,15 @@ def test_routes_agree_small():
                 for l in range(4):
                     for m in range(4 - l):
                         p1, p2 = Path(n, i, l), Path(n, j, m)
-                        enum = A._shuffle_paths_enum(p1, p2)
+                        enum = _thin_split_sum(A, p1, p2)
                         cond, F = A._shuffle_grid(i, j, l, m)
-                        grid = A._vec_to_cyclo(cond, F[l][m])
+                        grid = CycloNum(cond, F[l][m])
                         closed, _ = A.closed_form_product(p1, p2)
                         assert enum == grid == closed, (n, s, i, j, l, m)
+                        got = A.shuffle_multiply(PathVector.monomial(p1),
+                                                 PathVector.monomial(p2))
+                        assert got == PathVector(
+                            n, {Path(n, i + j, l + m): enum}), (n, s, i, j, l, m)
 
 
 def test_cross_check_reports():
