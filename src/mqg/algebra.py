@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 from .cyclo import (
     CycloNum,
+    _reduce_mod_phi,
     cyclic_mul,
     int_vec_zero_mod_phi,
     root_exponent,
@@ -162,97 +163,154 @@ def build(n: int, s: int, q: CycloNum) -> MajidAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def _fast_quasi_checks(M: MajidAlgebra):
-    """Quasi-associativity on all basis triples and multiplicativity of
-    the coproduct, entirely in integer arithmetic.
+class _IntegerEngine:
+    """The structure constants of M in the integer encoding.
 
-    Every structure constant is a root of unity times a product of
-    Gaussian binomials; comparisons happen on integer coefficient
-    vectors modulo x^N - 1 for the common conductor N, reduced modulo
-    the cyclotomic polynomial, so the check is exact.  Returns None on
-    success or (check-name, witness).
+    For N = lcm(d, n): hbar = zeta_N^hb_e, coef(p(i,l) p(j,m)) =
+    zeta_N^E(i,l,j,m) binom(l+m, l)_hbar for sources in 0..n-1,
+    Phi(g^i, g^j, g^k) = zeta_N^phi_e(i,j,k) and beta(g^i) =
+    zeta_N^beta_e(i).  Binomials are integer vectors modulo x^N - 1, and a
+    value is zero when its vector reduces to 0 modulo Phi_N.  The checks
+    of quasi-associativity and of the coproduct return None or the first
+    failing witness.  The memo dicts live on the instance, made for one
+    call.
     """
-    n, s, d = M.n, M.s, M.d
-    N = d * n // gcd(d, n)  # d is the order of hbar
-    hb_e = root_exponent(M.hbar, N)
-    s_qq = s * (N // n)
 
-    def E(i, l, j, m):
-        # coef(p(i,l) p(j,m)) = zeta^E * binom(l+m, l)_hbar, j in 0..n-1
-        return hb_e * j * l + s_qq * (i + l % n) * ((m + j) // n)
+    def __init__(self, M: MajidAlgebra):
+        n, d, h = M.n, M.d, M.hbar
+        self.n, self.d = n, d
+        self.N = N = lcm(d, n)  # d is the order of hbar
+        # on a copy: as_root_of_unity tags an untagged value, and a tag
+        # changes the conductor of every later product with it
+        self.hb_e = hb_e = root_exponent(CycloNum(h.n, h.c, _root=h._root), N)
+        s_qq = M.s * (N // n)
 
-    def phi_e(i, j, k):
-        return s_qq * i if j + k >= n else 0
+        def E(i, l, j, m):
+            return hb_e * j * l + s_qq * (i + l % n) * ((m + j) // n)
 
-    pairs = {}
+        def phi_e(i, j, k):
+            return s_qq * i if j + k >= n else 0
 
-    def pair(l1, m1, l2, m2):
-        """binom(l1+m1, l1) binom(l2+m2, l2) at x^hb_e, mod x^N - 1."""
+        def beta_e(i):
+            # beta(g^i) = 1/Phi(g^i, g^-i, g^i)
+            return -phi_e(i, -i % n, i)
+
+        self.E, self.phi_e, self.beta_e = E, phi_e, beta_e
+        self._reduced = {}
+        self._pairs = {}
+
+    def binomial(self, l: int, m: int):
+        """binom(l+m, l)_hbar as a vector."""
+        return _binomial_buckets(self.N, self.hb_e, l, m)
+
+    def _reduced_binomial(self, l: int, m: int):
+        """binom(l+m, l)_hbar as a vector reduced modulo Phi_N: its first
+        phi(N) entries, the rest 0."""
+        hit = self._reduced.get((l, m))
+        if hit is None:
+            N = self.N
+            low = _reduce_mod_phi(self.binomial(l, m), N)
+            hit = self._reduced[(l, m)] = list(low) + [0] * (N - len(low))
+        return hit
+
+    def vanishes(self, l: int, m: int) -> bool:
+        """binom(l+m, l)_hbar = 0."""
+        return not any(self._reduced_binomial(l, m))
+
+    def pair(self, l1, m1, l2, m2):
+        """binom(l1+m1, l1)_hbar binom(l2+m2, l2)_hbar as a vector: the
+        product of the reduced factors, which has the same value and
+        phi(N)^2 instead of N^2 terms."""
         key = (l1, m1, l2, m2)
-        if key not in pairs:
-            pairs[key] = cyclic_mul(_binomial_buckets(N, hb_e, l1, m1),
-                                    _binomial_buckets(N, hb_e, l2, m2))
-        return pairs[key]
+        hit = self._pairs.get(key)
+        if hit is None:
+            hit = self._pairs[key] = cyclic_mul(
+                self._reduced_binomial(l1, m1), self._reduced_binomial(l2, m2))
+        return hit
 
-    # quasi-associativity: Phi(sources) a(bc) = Phi(targets) (ab)c
-    for l in range(d):
-        for m in range(d):
-            for t in range(d):
-                # the two association orders of the q-trinomial coefficient
-                b1 = pair(m, t, l, m + t)
-                b2 = pair(l, m, l + m, t)
-                if (int_vec_zero_mod_phi(b1, N)
-                        and int_vec_zero_mod_phi(b2, N)):
-                    continue
-                same = b1 == b2 or int_vec_zero_mod_phi(
-                    [x - y for x, y in zip(b1, b2)], N)
+    def quasi_associativity(self):
+        """Phi(sources) a(bc) = Phi(targets) (ab)c on all basis triples.
+
+        With zeta^eL b1 on the left and zeta^eR b2 on the right, the
+        identity holds iff b1 = zeta^(eR - eL) b2: within one triple of
+        lengths its verdict is computed once per class of eR - eL mod N.
+        """
+        n, d, N = self.n, self.d, self.N
+        E, phi_e, vanishes = self.E, self.phi_e, self.vanishes
+        for l in range(d):
+            for m in range(d):
+                for t in range(d):
+                    # the two association orders of the q-trinomial
+                    # coefficient; Z[zeta_N] has no zero divisors, so a
+                    # product of two binomials vanishes iff one of them does
+                    if ((vanishes(m, t) or vanishes(l, m + t))
+                            and (vanishes(l, m) or vanishes(l + m, t))):
+                        continue
+                    b1 = self.pair(m, t, l, m + t)
+                    b2 = self.pair(l, m, l + m, t)
+                    verdict = {}  # (eR - eL) mod N -> identity holds
+                    for i in range(n):
+                        for j in range(n):
+                            for k in range(n):
+                                eL = (phi_e(i, j, k) + E(j, m, k, t)
+                                      + E(i, l, (j + k) % n, m + t))
+                                eR = (phi_e((i + l) % n, (j + m) % n,
+                                            (k + t) % n)
+                                      + E(i, l, j, m)
+                                      + E((i + j) % n, l + m, k, t))
+                                delta = (eR - eL) % N
+                                ok = verdict.get(delta)
+                                if ok is None:
+                                    ok = verdict[delta] = int_vec_zero_mod_phi(
+                                        [x - y for x, y
+                                         in zip(b1, rotate(b2, delta))], N)
+                                if not ok:
+                                    return {"a": f"p({i},{l})",
+                                            "b": f"p({j},{m})",
+                                            "c": f"p({k},{t})"}
+        return None
+
+    def coproduct(self):
+        """The coproduct is an algebra map: for every split position r of
+        the product p(i,l) p(j,m), the convolution of split coefficients
+        reproduces the total coefficient (the q-Vandermonde identity).
+
+        Both sides are rotated by -eC, the exponent of the total
+        coefficient, so within one pair of lengths the verdict depends
+        only on r and the rotated split exponents.
+        """
+        n, d, N = self.n, self.d, self.N
+        E, vanishes = self.E, self.vanishes
+        for l in range(d):
+            for m in range(d):
+                cb = self.binomial(l, m)
+                verdict = {}  # (r, split exponents - eC mod N) -> holds
                 for i in range(n):
                     for j in range(n):
-                        for k in range(n):
-                            eL = (phi_e(i, j, k) + E(j, m, k, t)
-                                  + E(i, l, (j + k) % n, m + t)) % N
-                            eR = (phi_e((i + l) % n, (j + m) % n, (k + t) % n)
-                                  + E(i, l, j, m)
-                                  + E((i + j) % n, l + m, k, t)) % N
-                            if same and eL == eR:
-                                continue
-                            diff = [
-                                x - y
-                                for x, y in zip(rotate(b1, eL), rotate(b2, eR))
-                            ]
-                            if int_vec_zero_mod_phi(diff, N):
-                                continue
-                            return ("quasi-associativity", {
-                                "a": f"p({i},{l})", "b": f"p({j},{m})",
-                                "c": f"p({k},{t})",
-                            })
-
-    # coproduct is an algebra map: for every split position r of the
-    # product p(i,l) p(j,m), the convolution of split coefficients must
-    # reproduce the total coefficient (the q-Vandermonde identity).
-    for l in range(d):
-        for m in range(d):
-            cb = _binomial_buckets(N, hb_e, l, m)
-            for i in range(n):
-                for j in range(n):
-                    eC = E(i, l, j, m) % N
-                    target = rotate(cb, eC)
-                    for r in range(l + m + 1):
-                        acc = [0] * N
-                        for k in range(max(0, r - m), min(l, r) + 1):
-                            u = r - k
-                            e = (E((i + k) % n, l - k, (j + u) % n, m - u)
-                                 + E(i, k, j, u)) % N
-                            rv = rotate(pair(l - k, m - u, k, u), e)
-                            for x in range(N):
-                                acc[x] += rv[x]
-                        diff = [acc[x] - target[x] for x in range(N)]
-                        if not int_vec_zero_mod_phi(diff, N):
-                            return ("coproduct-multiplicative", {
-                                "a": f"p({i},{l})", "b": f"p({j},{m})",
-                                "split": r,
-                            })
-    return None
+                        eC = E(i, l, j, m)
+                        for r in range(l + m + 1):
+                            ks = range(max(0, r - m), min(l, r) + 1)
+                            key = (r, tuple(
+                                (E((i + k) % n, l - k, (j + r - k) % n,
+                                   m - r + k)
+                                 + E(i, k, j, r - k) - eC) % N
+                                for k in ks))
+                            ok = verdict.get(key)
+                            if ok is None:
+                                acc = [-x for x in cb]
+                                for k, e in zip(ks, key[1]):
+                                    if (vanishes(l - k, m - r + k)
+                                            or vanishes(k, r - k)):
+                                        continue
+                                    rv = rotate(
+                                        self.pair(l - k, m - r + k, k, r - k), e)
+                                    for x in range(N):
+                                        acc[x] += rv[x]
+                                ok = verdict[key] = int_vec_zero_mod_phi(acc, N)
+                            if not ok:
+                                return {"a": f"p({i},{l})", "b": f"p({j},{m})",
+                                        "split": r}
+        return None
 
 
 def verify_quasi_bialgebra(M: MajidAlgebra, product=None) -> dict:
@@ -266,7 +324,7 @@ def verify_quasi_bialgebra(M: MajidAlgebra, product=None) -> dict:
     witness.
     """
     prod = product if product is not None else M.product
-    n, d = M.n, M.d
+    n = M.n
     checks = {}
 
     def fail(name, witness):
@@ -291,12 +349,18 @@ def verify_quasi_bialgebra(M: MajidAlgebra, product=None) -> dict:
 
     if product is None:
         # integer-vector engine for the two heavy identities
-        hit = _fast_quasi_checks(M)
-        if hit is not None:
-            return fail(*hit)
+        engine = _IntegerEngine(M)
+        for name, check in (("quasi-associativity", engine.quasi_associativity),
+                            ("coproduct-multiplicative", engine.coproduct)):
+            witness = check()
+            if witness is not None:
+                return fail(name, witness)
         checks["quasi-associativity"] = True
         checks["coproduct-multiplicative"] = True
-        return _finish_counit(M, prod, checks, fail)
+        # a product with a factor of positive length has a target of
+        # positive length or none, so its counit is 0 as required: only
+        # the vertex pairs can fail
+        return _finish_counit(M.basis[:n], prod, checks, fail)
 
     # quasi-associativity on basis triples: with deconcatenation legs the
     # reassociator survives only on the extreme splits, so the identity
@@ -358,13 +422,13 @@ def verify_quasi_bialgebra(M: MajidAlgebra, product=None) -> dict:
                 return fail("coproduct-multiplicative",
                             {"a": str(a), "b": str(b)})
     checks["coproduct-multiplicative"] = True
-    return _finish_counit(M, prod, checks, fail)
+    return _finish_counit(M.basis, prod, checks, fail)
 
 
-def _finish_counit(M: MajidAlgebra, prod, checks, fail):
+def _finish_counit(basis, prod, checks, fail):
     one = CycloNum.one()
-    for a in M.basis:
-        for b in M.basis:
+    for a in basis:
+        for b in basis:
             cab, tab = prod(a, b)
             eps = cab if tab is not None and tab.length == 0 else CycloNum.zero()
             want = one if a.length == 0 and b.length == 0 else CycloNum.zero()
@@ -385,29 +449,32 @@ def solve_antipode(M: MajidAlgebra) -> dict:
     S(p(i,l)) = c_{i,l} p((n-i-l) mod n, l); the scalar at degree l is the
     unique solution of the first antipode equation restricted to p(i,l)
     (the group-like leg of the middle coproduct factor carries alpha).
-    Returns {(i, l): (coefficient, target path)}.
+    Each c_{i,l} is solved as a signed root of unity +-zeta_N^a in the
+    integer encoding and returned at the conductor of the structure
+    constants.  Returns {(i, l): (coefficient, target path)}.
     """
     n, d = M.n, M.d
-    one = CycloNum.one()
-    c = {(i, 0): one for i in range(n)}
+    engine = _IntegerEngine(M)
+    N, E = engine.N, engine.E
+    by_value = {x.c: key for key, x in _signed_roots(N, N).items()}
+    c = {(i, 0): (1, 0) for i in range(n)}
     for l in range(1, d):
         for i in range(n):
-            # sum_{k=0}^{l} c_{i+k,l-k} coef(p(-(i+l),l-k) * p(i,k)) = 0
-            acc = CycloNum.zero()
-            for k in range(1, l + 1):
-                coeff, target = M.product(
-                    Path(n, -(i + l), l - k), Path(n, i, k)
-                )
-                assert target is not None
-                acc = acc + c[((i + k) % n, l - k)] * coeff
-            pivot, _ = M.product(Path(n, -(i + l), l), Path(n, i, 0))
-            if pivot.is_zero():
+            # c_{i,l} coef(p(-(i+l),l) p(i,0)) = minus the terms k = 1..l,
+            # and that coefficient is zeta_N^E: binom(l, 0) = 1
+            acc = _first_sum(engine, c, i, l, range(1, l + 1))
+            hit = by_value.get(CycloNum(N, [-x for x in acc]).c)
+            if hit is None:
                 raise StructureError(
-                    f"antipode pivot vanishes at degree {l}, vertex {i}"
-                )
-            c[(i, l)] = -(acc / pivot)
+                    f"antipode coefficient at degree {l}, vertex {i} is not "
+                    "a root of unity")
+            c[(i, l)] = (hit[0], (hit[1] - E(-(i + l) % n, l, i, 0)) % N)
+    one = CycloNum.one()
+    # every structure constant of positive degree has this conductor, and
+    # field arithmetic on them returns the coefficients at it
+    out = _signed_roots(N, M.product(Path(n, 0, 1), M.unit)[0].n) if d > 1 else {}
     table = {
-        (i, l): (c[(i, l)], Path(n, -(i + l), l))
+        (i, l): (out[c[(i, l)]] if l else one, Path(n, -(i + l), l))
         for i in range(n)
         for l in range(d)
     }
@@ -415,86 +482,108 @@ def solve_antipode(M: MajidAlgebra) -> dict:
     return table
 
 
-def _verify_antipode(M: MajidAlgebra, table: dict) -> None:
-    n, d = M.n, M.d
-    one = CycloNum.one()
-    unit_vec = PathVector.monomial(M.unit)
+def _signed_roots(N: int, K: int) -> dict:
+    """sign * zeta_N^b as a CycloNum at conductor K, a multiple of N, keyed
+    by (sign, b) for 0 <= b < N.  For even N, -1 is a power of zeta_N and
+    the sign is always 1, so every value has exactly one key."""
+    out = {}
+    for sg in ((1,) if N % 2 == 0 else (1, -1)):
+        for b in range(N):
+            v = [0] * K
+            v[b * (K // N)] = sg
+            out[(sg, b)] = CycloNum(K, v)
+    return out
 
-    def s_vec(p: Path) -> PathVector:
-        coeff, target = table[(p.source, p.length)]
-        return PathVector(n, {target: coeff})
+
+def _first_sum(engine: _IntegerEngine, c: dict, i: int, l: int, ks):
+    """sum over k in ks of S(p(i+k,l-k)) p(i,k), for the signed exponents
+    c of S: the coefficient vector on the common target p(-l, l)."""
+    n, N, E = engine.n, engine.N, engine.E
+    acc = [0] * N
+    for k in ks:
+        sg, a = c[((i + k) % n, l - k)]
+        v = rotate(engine.binomial(l - k, k), a + E(-(i + l) % n, l - k, i, k))
+        for x in range(N):
+            acc[x] += sg * v[x]
+    return acc
+
+
+def _second_sum(engine: _IntegerEngine, c: dict, i: int, l: int, beta: bool):
+    """sum over k of beta(g^(i+k)) p(i+k,l-k) S(p(i,k)), without beta when
+    not `beta`: the coefficient vector on the common target p(0, l)."""
+    n, N, E = engine.n, engine.N, engine.E
+    acc = [0] * N
+    for k in range(l + 1):
+        sg, a = c[(i, k)]
+        e = a + E((i + k) % n, l - k, -(i + k) % n, k)
+        if beta:
+            e += engine.beta_e((i + k) % n)
+        v = rotate(engine.binomial(l - k, k), e)
+        for x in range(N):
+            acc[x] += sg * v[x]
+    return acc
+
+
+def _verify_antipode(M: MajidAlgebra, table: dict) -> None:
+    """Raise StructureError unless `table` satisfies every antipode
+    identity, checked on integer vectors and exponents."""
+    n = M.n
+    engine = _IntegerEngine(M)
+    N, phi_e, beta_e = engine.N, engine.phi_e, engine.beta_e
+
+    by_value = {}  # conductor -> {coefficients: (sign, b)}
+    c = {}
+    for p in M.basis:
+        i, l = p.source, p.length
+        coeff, target = table[(i, l)]
+        K = lcm(coeff.n, N)
+        if K not in by_value:
+            by_value[K] = {x.c: key for key, x in _signed_roots(N, K).items()}
+        hit = by_value[K].get(coeff.lift(K).c)
+        if hit is None or target != Path(n, -(i + l), l):
+            raise StructureError(
+                f"antipode of {p} is not a signed root of unity times "
+                f"p({-(i + l) % n},{l})")
+        c[(i, l)] = hit
+
+    def is_unit(acc, l, w=0):
+        """acc is zeta_N^w times the unit when l = 0, else zero."""
+        if l == 0:
+            acc[w % N] -= 1
+        return int_vec_zero_mod_phi(acc, N)
 
     for p in M.basis:
         i, l = p.source, p.length
         # S(a1) alpha(a2) a3 = alpha(a) 1
-        acc = PathVector(n)
-        for k in range(l + 1):
-            acc = acc + M.multiply(
-                s_vec(Path(n, i + k, l - k)), PathVector.monomial(Path(n, i, k))
-            )
-        want = unit_vec if l == 0 else PathVector(n)
-        if acc != want:
+        if not is_unit(_first_sum(engine, c, i, l, range(l + 1)), l):
             raise StructureError(f"first antipode equation fails on {p}")
         # a1 beta(a2) S(a3) = beta(a) 1
-        acc = PathVector(n)
-        for k in range(l + 1):
-            acc = acc + M.multiply(
-                PathVector.monomial(Path(n, i + k, l - k)), s_vec(Path(n, i, k))
-            ).scale(M.beta(Path(n, i + k, 0)))
-        want = unit_vec.scale(M.beta(p)) if l == 0 else PathVector(n)
-        if acc != want:
+        if not is_unit(_second_sum(engine, c, i, l, True), l, beta_e(i)):
             raise StructureError(f"second antipode equation fails on {p}")
         # Phi(a1, S(a3), a5) beta(a2) alpha(a4) = eps(a)
-        #   and Phi^{-1}(S(a1), a3, S(a5)) alpha(a2) beta(a4) = eps(a),
-        # summed over the 4-fold coproduct with the graded vanishing rules.
-        first = CycloNum.zero()
-        second = CycloNum.zero()
-        for k1 in range(l + 1):
-            for k2 in range(k1 + 1):
-                for k3 in range(k2 + 1):
-                    for k4 in range(k3 + 1):
-                        legs = (
-                            Path(n, i + k1, l - k1),
-                            Path(n, i + k2, k1 - k2),
-                            Path(n, i + k3, k2 - k3),
-                            Path(n, i + k4, k3 - k4),
-                            Path(n, i, k4),
-                        )
-                        if any(q.length for q in legs):
-                            continue
-                        sa1 = table[(legs[0].source, 0)]
-                        sa3 = table[(legs[2].source, 0)]
-                        sa5 = table[(legs[4].source, 0)]
-                        first = first + M.phi_grouplike(
-                            legs[0].source, sa3[1].source, legs[4].source
-                        ) * (sa3[0] * M.beta(legs[1])) * M.alpha(legs[3])
-                        second = second + M.phi_grouplike(
-                            sa1[1].source, legs[2].source, sa5[1].source
-                        ).inverse() * (
-                            (sa1[0] * sa5[0])
-                            * (M.alpha(legs[1]) * M.beta(legs[3]))
-                        )
-        eps = one if l == 0 else CycloNum.zero()
-        if first != eps or second != eps:
-            raise StructureError(f"zigzag antipode equation fails on {p}")
+        #   and Phi^{-1}(S(a1), a3, S(a5)) alpha(a2) beta(a4) = eps(a):
+        # alpha and beta vanish off the vertices, so only l = 0, where all
+        # five legs of the 4-fold coproduct are g^i, has a term
+        if l == 0:
+            sg, a = c[(i, 0)]
+            first = (phi_e(i, -i % n, i) + a + beta_e(i)) % N
+            second = (-phi_e(-i % n, i, -i % n) + 2 * a + beta_e(i)) % N
+            if sg != 1 or first or second:
+                raise StructureError(f"zigzag antipode equation fails on {p}")
         # coalgebra antimorphism: c_{i,k} c_{i+k,l-k} = c_{i,l}
+        sg, a = c[(i, l)]
         for k in range(l + 1):
-            if table[(i, k)][0] * table[((i + k) % n, l - k)][0] != \
-                    table[(i, l)][0]:
-                raise StructureError(f"antipode is not a coalgebra antimorphism at {p}")
+            sg1, a1 = c[(i, k)]
+            sg2, a2 = c[((i + k) % n, l - k)]
+            if sg1 * sg2 != sg or (a1 + a2 - a) % N:
+                raise StructureError(
+                    f"antipode is not a coalgebra antimorphism at {p}")
     # s = 0 is an honest Hopf algebra: m(S (x) id)Delta = eta eps = m(id (x) S)Delta
     if M.s == 0:
         for p in M.basis:
             i, l = p.source, p.length
-            left = PathVector(n)
-            right = PathVector(n)
-            for k in range(l + 1):
-                a1 = Path(n, i + k, l - k)
-                a2 = Path(n, i, k)
-                left = left + M.multiply(s_vec(a1), PathVector.monomial(a2))
-                right = right + M.multiply(PathVector.monomial(a1), s_vec(a2))
-            want = unit_vec if l == 0 else PathVector(n)
-            if left != want or right != want:
+            if not (is_unit(_first_sum(engine, c, i, l, range(l + 1)), l)
+                    and is_unit(_second_sum(engine, c, i, l, False), l)):
                 raise StructureError(f"Hopf antipode identity fails on {p}")
 
 
@@ -546,7 +635,6 @@ def admissible_truncations(n: int) -> set[int]:
     """The lengths d at which the truncated cycle coalgebra carries a
     consistent graded product: divisors of n (s = 0 families) together
     with n^2/gcd(s, n^2) for 1 <= s < n."""
-    from math import gcd
     out = {d for d in range(1, n + 1) if n % d == 0}
     out |= {n * n // gcd(s, n * n) for s in range(1, n)}
     return out
@@ -671,8 +759,18 @@ def import_algebra(doc) -> MajidAlgebra:
     rebuilt structure bit for bit."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    q = root_of_unity(doc["conductor"], doc["q_exp"])
-    M = MajidAlgebra.build(doc["n"], doc["s"], q)
+    if not isinstance(doc, dict):
+        raise ValueError("malformed algebra document: not a JSON object")
+    try:
+        conductor, q_exp, n, s = (
+            doc[key] for key in ("conductor", "q_exp", "n", "s"))
+    except KeyError as exc:
+        raise ValueError(
+            f"malformed algebra document: missing key {exc}") from None
+    if not all(isinstance(v, int) for v in (conductor, q_exp, n, s)):
+        raise ValueError("malformed algebra document: conductor, q_exp, n "
+                         "and s must be integers")
+    M = MajidAlgebra.build(n, s, root_of_unity(conductor, q_exp))
     if export_algebra(M, "dict") != {**doc}:
         raise StructureError("imported document disagrees with the rebuilt algebra")
     return M

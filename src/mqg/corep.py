@@ -577,7 +577,8 @@ def comodule_tensor(M: MajidAlgebra, X: CycleModule, Y: CycleModule) -> CycleMod
     for v in range(n):
         w = (v + 1) % n
         mat = _mat(dims[w], dims[v])
-        for col, (i, j, a, b) in enumerate(blocks[v]):
+        # with d = 1 every arrow is zero and p(i, 1) is outside the basis
+        for col, (i, j, a, b) in enumerate(blocks[v] if d > 1 else ()):
             cx, _ = M.product(Path(n, i, 1), Path(n, j, 0))
             cy, _ = M.product(Path(n, i, 0), Path(n, j, 1))
             for r in range(X.dims[(i + 1) % n]):

@@ -124,6 +124,32 @@ def test_usage_errors(tmp_path, capsys):
     module.write_text(json.dumps({"n": 2, "d": 2, "dims": [1, 1],
                                   "arrows": 5}))
     assert run(["decompose", "--in", str(module), "--json"]) == 2
+    capsys.readouterr()
+    # a module document handed over as an algebra dump
+    assert run(["fpdim", "--alg", str(module), "--object", "I(0,1)"]) == 2
+    assert capsys.readouterr().err == (
+        "error: malformed algebra document: missing key 'conductor'\n")
+    listing = tmp_path / "list.json"
+    listing.write_text("[1, 2]")
+    assert run(["tensor", "--alg", str(listing), "--left", "I(0,1)",
+                "--right", "I(1,1)"]) == 2
+    assert "malformed algebra document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_trivial_coradical_dump(n, tmp_path, capsys):
+    # d = 1: the bare group algebra, every simple of FP dimension 1
+    dump = tmp_path / "d1.json"
+    assert run(["export", "--n", str(n), "--s", "0", "--q-exp", "0",
+                "--out", str(dump)]) == 0
+    capsys.readouterr()
+    assert run(["fpdim", "--alg", str(dump), "--object", "I(1,1)",
+                "--json"]) == 0
+    assert json.loads(_out(capsys))["certificate"] == 1
+    assert run(["tensor", "--alg", str(dump), "--left", "I(1,1)",
+                "--right", f"I({n - 1},1)", "--json"]) == 0
+    assert json.loads(_out(capsys)) == {
+        "summands": [{"top": 0, "length": 1, "mult": 1}]}
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

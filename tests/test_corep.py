@@ -4,7 +4,7 @@ import pytest
 
 from mqg.cyclo import CycloNum, cached_mul, root_of_unity
 from mqg.cocycle import CocycleParams, legal_q_values
-from mqg.algebra import MajidAlgebra
+from mqg.algebra import MajidAlgebra, classify
 from mqg.corep import (
     CycleModule,
     IntervalModule,
@@ -178,6 +178,24 @@ def test_fusion_is_the_group_ring():
         for r in range(3):
             for c in range(3):
                 assert F.matrices[i][r][c] == (1 if r == (i + c) % 3 else 0)
+
+
+def test_trivial_coradical_fusion_is_the_group_ring():
+    # d = 1: every arrow is zero, and the tensor never asks for p(i, 1)
+    families = [e for n in (2, 3, 4) for e in classify(n) if e.d == 1]
+    assert [(e.n, e.s, e.q_exp) for e in families] == \
+        [(2, 0, 0), (3, 0, 0), (4, 0, 0)]
+    for e in families:
+        n = e.n
+        M = MajidAlgebra.build(n, e.s, root_of_unity(e.conductor, e.q_exp))
+        F = fusion_data(M)
+        for i in range(n):
+            for r in range(n):
+                for c in range(n):
+                    assert F.matrices[i][r][c] == (1 if r == (i + c) % n else 0)
+            value, cert = fp_dimension(
+                F, IntervalModule(n, 1, i, 1).simple_class())
+            assert cert == 1 and abs(value - 1) < 1e-9
 
 
 def test_fp_dimensions():
