@@ -14,10 +14,11 @@ import json
 from dataclasses import dataclass
 from math import gcd, lcm
 
+import numpy as np
+
 from .cyclo import (
     CycloNum,
     _reduce_mod_phi,
-    cyclic_mul,
     int_vec_zero_mod_phi,
     root_exponent,
     root_of_unity,
@@ -149,10 +150,6 @@ class MajidAlgebra:
             self._antipode = solve_antipode(self)
         return self._antipode
 
-    def antipode_vector(self, p: Path) -> PathVector:
-        coeff, target = self.antipode()[(p.source, p.length)]
-        return PathVector(self.n, {target: coeff})
-
 
 def build(n: int, s: int, q: CycloNum) -> MajidAlgebra:
     return MajidAlgebra.build(n, s, q)
@@ -163,70 +160,120 @@ def build(n: int, s: int, q: CycloNum) -> MajidAlgebra:
 # ---------------------------------------------------------------------------
 
 
+# the largest magnitude the integer sweeps hold in int64; above it they run
+# on Python integers
+_INT64_BOUND = 2 ** 63 - 1
+# the most entries of one exponent array, which bounds the numpy temporaries
+_CHUNK = 1 << 16
+
+
 class _IntegerEngine:
     """The structure constants of M in the integer encoding.
 
     For N = lcm(d, n): hbar = zeta_N^hb_e, coef(p(i,l) p(j,m)) =
     zeta_N^E(i,l,j,m) binom(l+m, l)_hbar for sources in 0..n-1,
     Phi(g^i, g^j, g^k) = zeta_N^phi_e(i,j,k) and beta(g^i) =
-    zeta_N^beta_e(i).  Binomials are integer vectors modulo x^N - 1, and a
-    value is zero when its vector reduces to 0 modulo Phi_N.  The checks
-    of quasi-associativity and of the coproduct return None or the first
-    failing witness.  The memo dicts live on the instance, made for one
-    call.
+    zeta_N^beta_e(i); E and phi_e take integers or numpy arrays.
+    Binomials are integer vectors modulo x^N - 1, and a value is zero
+    when its vector reduces to 0 modulo Phi_N.  The checks of
+    quasi-associativity and of the coproduct are numpy sweeps over the
+    exponents of a range of lengths at a time; they return None or the
+    first failing witness in basis loop order.  The tables live on the
+    instance, made for one call.
     """
 
     def __init__(self, M: MajidAlgebra):
-        n, d, h = M.n, M.d, M.hbar
+        n, d = M.n, M.d
         self.n, self.d = n, d
         self.N = N = lcm(d, n)  # d is the order of hbar
-        # on a copy: as_root_of_unity tags an untagged value, and a tag
-        # changes the conductor of every later product with it
-        self.hb_e = hb_e = root_exponent(CycloNum(h.n, h.c, _root=h._root), N)
+        self.hb_e = hb_e = root_exponent(M.hbar, N)
         s_qq = M.s * (N // n)
 
         def E(i, l, j, m):
             return hb_e * j * l + s_qq * (i + l % n) * ((m + j) // n)
 
         def phi_e(i, j, k):
-            return s_qq * i if j + k >= n else 0
+            # for sources in 0..n-1, (j + k) // n is 1 iff j + k >= n
+            return s_qq * i * ((j + k) // n)
 
         def beta_e(i):
             # beta(g^i) = 1/Phi(g^i, g^-i, g^i)
             return -phi_e(i, -i % n, i)
 
         self.E, self.phi_e, self.beta_e = E, phi_e, beta_e
-        self._reduced = {}
-        self._pairs = {}
+        self._sweep = None
 
     def binomial(self, l: int, m: int):
         """binom(l+m, l)_hbar as a vector."""
         return _binomial_buckets(self.N, self.hb_e, l, m)
 
-    def _reduced_binomial(self, l: int, m: int):
-        """binom(l+m, l)_hbar as a vector reduced modulo Phi_N: its first
-        phi(N) entries, the rest 0."""
-        hit = self._reduced.get((l, m))
-        if hit is None:
-            N = self.N
-            low = _reduce_mod_phi(self.binomial(l, m), N)
-            hit = self._reduced[(l, m)] = list(low) + [0] * (N - len(low))
-        return hit
+    def vanishes(self, l, m):
+        """binom(l+m, l)_hbar = 0, for integers or numpy arrays: by q-Lucas,
+        since hbar has order d, iff the base-d last digits carry."""
+        d = self.d
+        return l % d + m % d >= d
 
-    def vanishes(self, l: int, m: int) -> bool:
-        """binom(l+m, l)_hbar = 0."""
-        return not any(self._reduced_binomial(l, m))
+    def _tables(self):
+        """(T, R).  T[a, b] is binom(a+b, a)_hbar reduced modulo Phi_N and
+        padded to N entries, for a, b < 2d - 1 with a < d or b < d, and 0
+        elsewhere.  R[y] is zeta_N^y reduced, so a vector v is zero iff
+        v @ R is.  Both are int64 when every sum the sweeps form is
+        bounded by _INT64_BOUND, else Python integers (dtype object)."""
+        if self._sweep is None:
+            d, N = self.d, self.N
+            R = np.array([_reduce_mod_phi([int(x == y) for x in range(N)], N)
+                          for y in range(N)], dtype=object)
+            base = np.zeros((d, d, N), dtype=object)
+            for a in range(d):
+                for b in range(d - a):
+                    low = _reduce_mod_phi(self.binomial(a, b), N)
+                    base[a, b, :len(low)] = low
+            # q-Lucas: when a < d or b < d, and the last base-d digits do
+            # not carry, binom(a+b, a) = binom(a%d + b%d, a%d)
+            a, b = np.indices((2 * d - 1, 2 * d - 1))
+            T = base[a % d, b % d] * (((a < d) | (b < d))
+                                      & ~self.vanishes(a, b))[..., None]
+            # a verdict vector sums at most max(d, 2) products of reduced
+            # binomials, each with at most phi(N) terms per entry
+            top, rtop, phi_N = int(abs(base).max()), int(abs(R).max()), R.shape[1]
+            bound = N * rtop * (max(d, 2) * phi_N * top * top + top)
+            if bound <= _INT64_BOUND:
+                T, R = T.astype(np.int64), R.astype(np.int64)
+            self._sweep = T, R
+        return self._sweep
 
-    def pair(self, l1, m1, l2, m2):
-        """binom(l1+m1, l1)_hbar binom(l2+m2, l2)_hbar as a vector: the
-        product of the reduced factors, which has the same value and
-        phi(N)^2 instead of N^2 terms."""
-        key = (l1, m1, l2, m2)
-        hit = self._pairs.get(key)
-        if hit is None:
-            hit = self._pairs[key] = cyclic_mul(
-                self._reduced_binomial(l1, m1), self._reduced_binomial(l2, m2))
-        return hit
+    def _products(self, a, b):
+        """Row by row, the products a[v] b[v] modulo x^N - 1 of reduced
+        binomials, whose entries past the first phi(N) are 0."""
+        N, phi_N = self.N, self._tables()[1].shape[1]
+        # transposed, so that each step adds contiguous rows
+        a, b = a[:, :phi_N].T.copy(), b[:, :phi_N].T.copy()
+        out = np.zeros((max(N, 2 * phi_N - 1), a.shape[1]), dtype=a.dtype)
+        for y in range(phi_N):
+            out[y:y + phi_N] += a[y] * b
+        out[:len(out) - N] += out[N:]
+        return out[:N].T
+
+    def _rotate(self, vecs, e):
+        """Row by row, vecs[v] times zeta_N^e[v]."""
+        N = self.N
+        return np.take_along_axis(vecs, (np.arange(N) - e[:, None]) % N, axis=1)
+
+    def _is_zero(self, vecs):
+        """Row by row, whether vecs[v] is 0 modulo Phi_N."""
+        return ~((vecs @ self._tables()[1]) != 0).any(axis=1)
+
+    def _m_ranges(self, cost):
+        """0..d-1 cut into ranges of m whose summed cost(m), the size of
+        the exponent array over them, stays within _CHUNK entries (one m
+        at least)."""
+        m0 = 0
+        while m0 < self.d:
+            m1, size = m0 + 1, cost(m0)
+            while m1 < self.d and size + cost(m1) <= _CHUNK:
+                size, m1 = size + cost(m1), m1 + 1
+            yield m0, m1
+            m0 = m1
 
     def quasi_associativity(self):
         """Phi(sources) a(bc) = Phi(targets) (ab)c on all basis triples.
@@ -234,40 +281,41 @@ class _IntegerEngine:
         With zeta^eL b1 on the left and zeta^eR b2 on the right, the
         identity holds iff b1 = zeta^(eR - eL) b2: within one triple of
         lengths its verdict is computed once per class of eR - eL mod N.
+        A triple of lengths where both association orders of the
+        q-trinomial vanish holds trivially and is skipped.
         """
         n, d, N = self.n, self.d, self.N
         E, phi_e, vanishes = self.E, self.phi_e, self.vanishes
+        T = self._tables()[0]
+        i, j, k = (np.arange(n).reshape(s) for s in
+                   ((1, n, 1, 1), (1, 1, n, 1), (1, 1, 1, n)))
         for l in range(d):
-            for m in range(d):
-                for t in range(d):
-                    # the two association orders of the q-trinomial
-                    # coefficient; Z[zeta_N] has no zero divisors, so a
-                    # product of two binomials vanishes iff one of them does
-                    if ((vanishes(m, t) or vanishes(l, m + t))
-                            and (vanishes(l, m) or vanishes(l + m, t))):
-                        continue
-                    b1 = self.pair(m, t, l, m + t)
-                    b2 = self.pair(l, m, l + m, t)
-                    verdict = {}  # (eR - eL) mod N -> identity holds
-                    for i in range(n):
-                        for j in range(n):
-                            for k in range(n):
-                                eL = (phi_e(i, j, k) + E(j, m, k, t)
-                                      + E(i, l, (j + k) % n, m + t))
-                                eR = (phi_e((i + l) % n, (j + m) % n,
-                                            (k + t) % n)
-                                      + E(i, l, j, m)
-                                      + E((i + j) % n, l + m, k, t))
-                                delta = (eR - eL) % N
-                                ok = verdict.get(delta)
-                                if ok is None:
-                                    ok = verdict[delta] = int_vec_zero_mod_phi(
-                                        [x - y for x, y
-                                         in zip(b1, rotate(b2, delta))], N)
-                                if not ok:
-                                    return {"a": f"p({i},{l})",
-                                            "b": f"p({j},{m})",
-                                            "c": f"p({k},{t})"}
+            for m0, m1 in self._m_ranges(lambda m: d * n ** 3):
+                # Z[zeta_N] has no zero divisors: a product of two
+                # binomials vanishes iff one of them does
+                ms, ts = np.meshgrid(np.arange(m0, m1), np.arange(d),
+                                     indexing="ij")
+                live = ~((vanishes(ms, ts) | vanishes(l, ms + ts))
+                         & (vanishes(l, ms) | vanishes(l + ms, ts)))
+                ms, ts = ms[live], ts[live]  # in loop order
+                if not len(ms):
+                    continue
+                b1 = self._products(T[ms, ts], T[l, ms + ts])
+                b2 = self._products(T[l, ms], T[l + ms, ts])
+                m, t = ms[:, None, None, None], ts[:, None, None, None]
+                eL = phi_e(i, j, k) + E(j, m, k, t) + E(i, l, (j + k) % n, m + t)
+                eR = (phi_e((i + l) % n, (j + m) % n, (k + t) % n)
+                      + E(i, l, j, m) + E((i + j) % n, l + m, k, t))
+                keys = (np.arange(len(ms))[:, None, None, None] * N
+                        + (eR - eL) % N).ravel()
+                classes, inverse = np.unique(keys, return_inverse=True)
+                row, delta = classes // N, classes % N
+                ok = self._is_zero(b1[row] - self._rotate(b2[row], delta))
+                if not ok.all():
+                    p, a, b, c = np.unravel_index(
+                        np.argmin(ok[inverse]), (len(ms), n, n, n))
+                    return {"a": f"p({a},{l})", "b": f"p({b},{ms[p]})",
+                            "c": f"p({c},{ts[p]})"}
         return None
 
     def coproduct(self):
@@ -277,39 +325,51 @@ class _IntegerEngine:
 
         Both sides are rotated by -eC, the exponent of the total
         coefficient, so within one pair of lengths the verdict depends
-        only on r and the rotated split exponents.
+        only on r and the rotated split exponents.  Each (m, r) group is
+        decided once for the exponents of (i, j) = (0, 0), and once per
+        distinct exponent row where some (i, j) differs from them.
         """
-        n, d, N = self.n, self.d, self.N
-        E, vanishes = self.E, self.vanishes
+        n, d, N, E = self.n, self.d, self.N, self.E
+        T = self._tables()[0]
+        i, j = np.arange(n)[:, None, None], np.arange(n)[None, :, None]
         for l in range(d):
-            for m in range(d):
-                cb = self.binomial(l, m)
-                verdict = {}  # (r, split exponents - eC mod N) -> holds
-                for i in range(n):
-                    for j in range(n):
-                        eC = E(i, l, j, m)
-                        for r in range(l + m + 1):
-                            ks = range(max(0, r - m), min(l, r) + 1)
-                            key = (r, tuple(
-                                (E((i + k) % n, l - k, (j + r - k) % n,
-                                   m - r + k)
-                                 + E(i, k, j, r - k) - eC) % N
-                                for k in ks))
-                            ok = verdict.get(key)
-                            if ok is None:
-                                acc = [-x for x in cb]
-                                for k, e in zip(ks, key[1]):
-                                    if (vanishes(l - k, m - r + k)
-                                            or vanishes(k, r - k)):
-                                        continue
-                                    rv = rotate(
-                                        self.pair(l - k, m - r + k, k, r - k), e)
-                                    for x in range(N):
-                                        acc[x] += rv[x]
-                                ok = verdict[key] = int_vec_zero_mod_phi(acc, N)
-                            if not ok:
-                                return {"a": f"p({i},{l})", "b": f"p({j},{m})",
-                                        "split": r}
+            for m0, m1 in self._m_ranges(lambda m: (l + 1) * (m + 1) * n * n):
+                # the splits (m, r, k), k + u = r, sorted by m, r and k
+                ms, ks, us = np.meshgrid(np.arange(m0, m1), np.arange(l + 1),
+                                         np.arange(m1), indexing="ij")
+                keep = us <= ms
+                ms, ks, us = ms[keep], ks[keep], us[keep]
+                order = np.lexsort((ks, ks + us, ms))
+                ms, ks, us = ms[order], ks[order], us[order]
+                rs = ks + us
+                starts = np.flatnonzero(np.r_[True, (ms[1:] != ms[:-1])
+                                              | (rs[1:] != rs[:-1])])
+                e = (E((i + ks) % n, l - ks, (j + us) % n, ms - us)
+                     + E(i, ks, j, us) - E(i, l, j, ms)) % N
+                pairs = self._products(T[l - ks, ms - us], T[ks, us])
+                total = T[l, ms[starts]]
+                ok = np.empty((n, n, len(starts)), dtype=bool)
+                ok[:, :] = self._is_zero(np.add.reduceat(
+                    self._rotate(pairs, e[0, 0]), starts) - total)
+                differs = np.logical_or.reduceat(
+                    (e != e[0, 0]).any(axis=(0, 1)), starts)
+                ends = np.r_[starts[1:], len(ms)]
+                for g in np.flatnonzero(differs):
+                    group = slice(starts[g], ends[g])
+                    rows, inverse = np.unique(
+                        e[:, :, group].reshape(n * n, -1), axis=0,
+                        return_inverse=True)
+                    sums = np.stack([self._rotate(pairs[group], row).sum(axis=0)
+                                     for row in rows])
+                    ok[:, :, g] = self._is_zero(sums - total[g]).reshape(
+                        -1)[inverse.ravel()].reshape(n, n)
+                if not ok.all():
+                    # the first failing m, then (i, j, r) in loop order
+                    m = ms[starts][~ok.all(axis=(0, 1))].min()
+                    a, b, r = np.unravel_index(
+                        np.argmin(ok[:, :, ms[starts] == m]), (n, n, l + m + 1))
+                    return {"a": f"p({a},{l})", "b": f"p({b},{m})",
+                            "split": int(r)}
         return None
 
 

@@ -244,6 +244,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--check", choices=["pentagon", "sigma", "all"],
                    default="all")
+    # the report is JSON either way; the flag is accepted like elsewhere
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cocycle)
 
     p = sub.add_parser("indec", help="list the indecomposable comodules")

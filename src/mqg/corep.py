@@ -21,11 +21,11 @@ import itertools
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cyclo import CycloNum
 from .quiver import Path, PathVector
 from .algebra import MajidAlgebra
+
+import numpy as np  # after algebra: see the import order in mqg/__init__.py
 
 __all__ = [
     "CycleModule",

@@ -417,7 +417,6 @@ class CycloNum:
         for e in range(k):
             if math.gcd(e, k) == 1 or (e == 0 and k == 1):
                 if self == root_of_unity(k, e):
-                    self._root = (k, e)
                     return (k, e)
         return None
 

@@ -196,11 +196,11 @@ def test_criterion_05_dimension_claim():
 
 def test_criterion_06_axiom_suite():
     """Full quasi-bialgebra verification on all basis triples and the
-    solved antipode with every antipode identity, n <= 4, all (s, q)."""
+    solved antipode with every antipode identity, n <= 6, all (s, q)."""
     t0 = time.time()
     ok = True
     count = 0
-    for n in range(2, 5):
+    for n in range(2, 7):
         for params, s, q in _families(n):
             M = MajidAlgebra.build(n, s, q)
             rep = verify_quasi_bialgebra(M)
@@ -212,7 +212,7 @@ def test_criterion_06_axiom_suite():
             count += 1
     dt = time.time() - t0
     _verdict(6, ok and dt < 300,
-             f"axioms + antipode exact on all {count} families, n <= 4, "
+             f"axioms + antipode exact on all {count} families, n <= 6, "
              f"in {dt:.2f}s (< 300s)")
 
 

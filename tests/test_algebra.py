@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
+from mqg import algebra
 from mqg.cyclo import (
     CycloNum,
+    _reduce_mod_phi,
     cyclic_mul,
     int_vec_zero_mod_phi,
     root_of_unity,
@@ -200,6 +202,71 @@ def test_integer_engine_negative_control():
     assert witness is not None
     assert witness == _first_coproduct_failure(engine)
     assert _first_coproduct_failure(_IntegerEngine(_M(2, 1))) is None
+
+
+def _families(max_n):
+    return [(n, s, which) for n in range(2, max_n + 1) for s in range(n)
+            for which in range(len(legal_q_values(CocycleParams.standard(n, s))))]
+
+
+@pytest.mark.parametrize("n,s,which", _families(4))
+def test_q_lucas_vanishing_matches_the_vectors(n, s, which):
+    # every binomial the sweeps read: a, b <= 2d - 2 with a < d or b < d
+    engine = _IntegerEngine(_M(n, s, which))
+    d, N = engine.d, engine.N
+    T = engine._tables()[0]
+    for a in range(2 * d - 1):
+        for b in range(2 * d - 1 if a < d else d):
+            low = _reduce_mod_phi(engine.binomial(a, b), N)
+            assert engine.vanishes(a, b) == (not any(low)), (a, b)
+            assert list(T[a, b]) == list(low) + [0] * (N - len(low)), (a, b)
+
+
+def _tampered_engines(n, s, which):
+    """Engines whose structure constants no longer fit: s moved by one,
+    and one exponent E(i0, l0, j0, m0) moved by one, late in loop order.
+    (Inverting hbar keeps every identity, so it would test nothing.)"""
+    M = _M(n, s, which)
+    M.s = (s + 1) % n
+    yield _IntegerEngine(M)
+    engine = _IntegerEngine(_M(n, s, which))
+    E, d = engine.E, engine.d
+    at = (n - 1, d // 2, 1, (d - 1) // 2)
+
+    def tampered(i, l, j, m):
+        # works on integers and on numpy arrays alike
+        hit = (i == at[0]) & (l == at[1]) & (j == at[2]) & (m == at[3])
+        return E(i, l, j, m) + hit
+
+    engine.E = tampered
+    yield engine
+
+
+def test_sweep_witnesses_match_the_plain_loops():
+    witnesses = set()
+    for n, s, which in _families(3):
+        for engine in _tampered_engines(n, s, which):
+            witness = engine.quasi_associativity()
+            assert witness == _first_associativity_failure(engine), (n, s, which)
+            witnesses.add(json.dumps(witness))
+            witness = engine.coproduct()
+            assert witness == _first_coproduct_failure(engine), (n, s, which)
+            witnesses.add(json.dumps(witness))
+    assert len(witnesses) >= 10
+
+
+def test_object_dtype_sweeps_give_the_same_reports(monkeypatch):
+    good, bad = _M(3, 1), _M(3, 1)
+    bad.s = 2
+    reports = [verify_quasi_bialgebra(M) for M in (good, bad)]
+    tampered = _M(2, 0, which=1)
+    tampered.hbar, tampered.d = root_of_unity(4), 4
+    coproduct = _IntegerEngine(tampered).coproduct()
+    assert coproduct is not None
+    monkeypatch.setattr(algebra, "_INT64_BOUND", 0)
+    assert _IntegerEngine(good)._tables()[0].dtype == object
+    assert [verify_quasi_bialgebra(M) for M in (good, bad)] == reports
+    assert _IntegerEngine(tampered).coproduct() == coproduct
 
 
 # (n, s, index into legal_q_values): every family with n <= 3 and M(4,1,zeta_16)

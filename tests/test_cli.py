@@ -73,8 +73,12 @@ def test_product(capsys):
 
 def test_cocycle_report(capsys):
     assert run(["cocycle", "--n", "4", "--s", "3"]) == 0
-    doc = json.loads(_out(capsys))
+    text = capsys.readouterr().out
+    doc = json.loads(text)
     assert doc["pentagon"]["passed"] and doc["sigma"]["passed"]
+    # the report is JSON already: --json leaves the bytes unchanged
+    assert run(["cocycle", "--n", "4", "--s", "3", "--json"]) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_indec(capsys):

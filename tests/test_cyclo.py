@@ -79,6 +79,15 @@ def test_as_root_of_unity():
     assert root_exponent(CycloNum.one(), 5) == 0
 
 
+def test_as_root_of_unity_leaves_the_value_untouched():
+    # a root tag decides the conductor of a product, so asking for the
+    # root form must not add one
+    u = CycloNum(8, [0, 0, 1])
+    before = (u * root_of_unity(4)).n
+    assert u.as_root_of_unity() == (4, 1)
+    assert (u * root_of_unity(4)).n == before == 8
+
+
 def test_json_round_trip():
     x = root_of_unity(5) * Fraction(3, 7) + CycloNum.from_rational(1)
     doc = x.to_json()
