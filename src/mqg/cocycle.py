@@ -124,19 +124,18 @@ def sigma_report(params: CocycleParams) -> dict:
     """Exhaustive 2-cocycle identity for sigma_s, plus consistency of the
     iterated twisted products of g with the twisted-power scalar."""
     n = params.n
+    sg = [[sigma(params, i, j) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = cached_mul(sigma(params, i, j),
-                                 sigma(params, (i + j) % n, k))
-                rhs = cached_mul(sigma(params, j, k),
-                                 sigma(params, i, (j + k) % n))
+                lhs = cached_mul(sg[i][j], sg[(i + j) % n][k])
+                rhs = cached_mul(sg[j][k], sg[i][(j + k) % n])
                 if lhs != rhs:
                     return {"passed": False, "counterexample": [i, j, k],
                             "reason": "2-cocycle"}
     cum = CycloNum.one()
     for i in range(2, n + 1):
-        cum = cached_mul(cum, sigma(params, (i - 1) % n, 1))
+        cum = cached_mul(cum, sg[(i - 1) % n][1])
         if cum != twisted_power(params, i):
             return {"passed": False, "counterexample": [i],
                     "reason": "twisted-power"}

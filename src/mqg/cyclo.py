@@ -358,67 +358,62 @@ class CycloNum:
         return self.c[0]
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if not isinstance(other, CycloNum):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if self._root and other._root:
+            # zeta_n1^e1 == zeta_n2^e2 iff e1/n1 - e2/n2 is an integer
             n1, e1 = self._root
             n2, e2 = other._root
-            m = n1 * n2 // math.gcd(n1, n2)
-            return (e1 * (m // n1) - e2 * (m // n2)) % m == 0
+            return (e1 * n2 - e2 * n1) % (n1 * n2) == 0
         if self.n == other.n:
             return self.c == other.c
         a, b = self._unify(self, other)
         return a.c == b.c
 
     def __hash__(self):
-        # conductor-independent: built from normalized traces of a and a^2
+        # conductor-independent, like equality: a root of unity hashes by
+        # its reduced (order, exponent), so distinct roots do not collide
+        # (roots are algebraic integers, so a non-integral coefficient
+        # rules one out); any other value hashes by the normalized traces
+        # of a and a^2
         if self._h is None:
-            t1 = sum(
-                (ct * _trace_zeta(self.n, k) for k, ct in enumerate(self.c) if ct),
-                _ZERO_FR,
-            )
-            sq = self * self
-            t2 = sum(
-                (ct * _trace_zeta(sq.n, k) for k, ct in enumerate(sq.c) if ct),
-                _ZERO_FR,
-            )
-            self._h = hash((t1, t2))
+            integral = self._root or all(ct.denominator == 1 for ct in self.c)
+            root = self.as_root_of_unity() if integral else None
+            if root is not None:
+                self._h = hash(root)
+            else:
+                t1 = sum(
+                    (ct * _trace_zeta(self.n, k)
+                     for k, ct in enumerate(self.c) if ct),
+                    _ZERO_FR,
+                )
+                sq = self * self
+                t2 = sum(
+                    (ct * _trace_zeta(sq.n, k)
+                     for k, ct in enumerate(sq.c) if ct),
+                    _ZERO_FR,
+                )
+                self._h = hash((t1, t2))
         return self._h
 
     # ---- root-of-unity structure ----------------------------------------
 
     def mult_order(self):
         """Smallest k >= 1 with self**k == 1, or None if not a root of unity."""
-        if self.is_zero():
-            return None
-        if self._root:
-            rn, re = self._root
-            return rn // math.gcd(rn, re % rn) if re % rn else 1
-        bound = self.n if self.n % 2 == 0 else 2 * self.n
-        if self ** bound != _ONE:
-            return None
-        order = bound
-        for p, _ in _factorize(bound):
-            while order % p == 0 and self ** (order // p) == _ONE:
-                order //= p
-        return order
+        root = self.as_root_of_unity()
+        return root[0] if root else None
 
     def as_root_of_unity(self):
-        """Return (k, e) with self == zeta_k^e and gcd(e, k) == 1, else None."""
+        """Return (k, e) with self == zeta_k^e, 0 <= e < k and
+        gcd(e, k) == 1, else None."""
         if self._root:
             rn, re = self._root
             re %= rn
-            g = math.gcd(rn, re) if re else rn
-            return (rn // g, (re // g) if re else 0)
-        k = self.mult_order()
-        if k is None:
-            return None
-        for e in range(k):
-            if math.gcd(e, k) == 1 or (e == 0 and k == 1):
-                if self == root_of_unity(k, e):
-                    return (k, e)
-        return None
+            g = math.gcd(rn, re)
+            return (rn // g, re // g)
+        return _roots_at(self.n).get(self.c)
 
     # ---- serialization ---------------------------------------------------
 
@@ -514,6 +509,22 @@ def root_of_unity(n: int, e: int = 1) -> CycloNum:
     return CycloNum(n, coeffs, _root=(n, e))
 
 
+@lru_cache(maxsize=None)
+def _roots_at(n: int) -> dict:
+    """Every root of unity of Q(zeta_n), zeta_m^f with m = lcm(2, n): its
+    reduced coefficients at conductor n -> its reduced (order, exponent)."""
+    m = n if n % 2 == 0 else 2 * n
+    out = {}
+    for f in range(m):
+        if m == n or f % 2 == 0:
+            c = root_of_unity(n, f * n // m).c
+        else:  # zeta_2n^f = -zeta_n^((f + n) / 2) for odd n and f
+            c = tuple(-x for x in root_of_unity(n, (f + n) // 2).c)
+        g = math.gcd(m, f)
+        out[c] = (m // g, f // g)
+    return out
+
+
 def mult_order(a: CycloNum):
     return a.mult_order()
 
@@ -524,8 +535,10 @@ def cached_mul(a: CycloNum, b: CycloNum) -> CycloNum:
 
     Keyed by value, not by conductor: a hit may return the product of
     equal operands at another conductor, so what it returns depends on
-    what ran earlier in the process.  Only `cocycle` and `bimodule` still
-    use it (ROADMAP item 2 removes it)."""
+    what ran earlier in the process.  Roots of unity hash by their
+    reduced (order, exponent), so a lookup of a root compares against
+    equal roots only.  Only `cocycle` and `bimodule` still use it
+    (ROADMAP item 1 removes it)."""
     return a * b
 
 
@@ -545,23 +558,9 @@ def rotate(vec, e: int):
     return vec[-e:] + vec[:-e] if e else vec
 
 
-def cyclic_mul(a, b) -> list[int]:
-    """The product of two integer vectors of length N modulo x^N - 1."""
-    N = len(a)
-    out = [0] * N
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[(i + j) % N] += x * y
-    return out
-
-
 def int_vec_zero_mod_phi(vec, conductor: int) -> bool:
     """Whether sum_k vec[k] zeta_conductor^k = 0, for an integer vector of
     length `conductor`; exact sparse reduction modulo the cyclotomic
     polynomial, no rational arithmetic."""
     return not any(_reduce_mod_phi(vec, conductor))
 
-
-_ONE = CycloNum.one()

@@ -9,7 +9,6 @@ from mqg import algebra
 from mqg.cyclo import (
     CycloNum,
     _reduce_mod_phi,
-    cyclic_mul,
     int_vec_zero_mod_phi,
     root_of_unity,
     rotate,
@@ -33,6 +32,7 @@ from mqg.algebra import (
     verify_quasi_bialgebra,
 )
 import antipode_oracle
+from test_cyclo import cyclic_mul
 
 
 def _M(n, s, which=0):

@@ -1,5 +1,8 @@
+from itertools import product
+
 import pytest
 
+from mqg import cocycle
 from mqg.cyclo import CycloNum, root_of_unity
 from mqg.cocycle import (
     CocycleParams,
@@ -73,6 +76,56 @@ def test_sigma_is_two_cocycle():
     for n in range(2, 6):
         for s in range(n):
             assert sigma_check(CocycleParams.standard(n, s))
+
+
+def _plain_sigma_report(params):
+    """sigma_report as a plain loop: sigma evaluated afresh per use."""
+    n, sg = params.n, cocycle.sigma
+    for i, j, k in product(range(n), repeat=3):
+        if (sg(params, i, j) * sg(params, (i + j) % n, k)
+                != sg(params, j, k) * sg(params, i, (j + k) % n)):
+            return {"passed": False, "counterexample": [i, j, k],
+                    "reason": "2-cocycle"}
+    cum = CycloNum.one()
+    for i in range(2, n + 1):
+        cum = cum * sg(params, (i - 1) % n, 1)
+        if cum != twisted_power(params, i):
+            return {"passed": False, "counterexample": [i],
+                    "reason": "twisted-power"}
+    return {"passed": True, "counterexample": None}
+
+
+def test_sigma_report_matches_the_plain_loop(monkeypatch):
+    for n in range(2, 9):
+        for s in range(n):
+            params = CocycleParams.standard(n, s)
+            assert sigma_report(params) == _plain_sigma_report(params)
+    true_sigma = cocycle.sigma
+    params = CocycleParams.standard(4, 1)
+
+    # one value moved: the 2-cocycle identity fails, first at (1, 1, 0),
+    # where a transposed read of the table would name another triple
+    def one_moved(p, i, j):
+        v = true_sigma(p, i, j)
+        return -v if (i, j) == (2, 0) else v
+
+    monkeypatch.setattr(cocycle, "sigma", one_moved)
+    rep = sigma_report(params)
+    assert rep == {"passed": False, "counterexample": [1, 1, 0],
+                   "reason": "2-cocycle"}
+    assert rep == _plain_sigma_report(params)
+
+    # times the coboundary of f(i) = zeta_8^i, i.e. -1 where i + j wraps:
+    # still a 2-cocycle, but the twisted powers fail at g^(*4)
+    def coboundary(p, i, j):
+        v = true_sigma(p, i, j)
+        return -v if i + j >= p.n else v
+
+    monkeypatch.setattr(cocycle, "sigma", coboundary)
+    rep = sigma_report(params)
+    assert rep == {"passed": False, "counterexample": [4],
+                   "reason": "twisted-power"}
+    assert rep == _plain_sigma_report(params)
 
 
 def test_sigma_identity_element():

@@ -1,3 +1,4 @@
+import math
 import os
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from mqg.cyclo import (
     ConductorLimitError,
     CycloNum,
     InvalidConductorError,
-    cyclic_mul,
     cyclotomic_polynomial,
     euler_phi,
     int_vec_zero_mod_phi,
@@ -62,6 +62,48 @@ def test_cross_conductor_equality_and_hash():
     assert c == b and hash(c) == hash(b)
 
 
+def test_equal_values_hash_equally():
+    # a root of unity: tagged, untagged, lifted, and from a product of tags
+    u = CycloNum(8, [0, 0, 1])
+    z4 = root_of_unity(4)
+    forms = [u, z4, z4.lift(8), u.lift(24), CycloNum(4, [0, 1]),
+             root_of_unity(2) * root_of_unity(8, 6)]
+    assert all(x == z4 and hash(x) == hash(z4) for x in forms)
+    # roots, non-roots (integral and not) and rationals across conductors
+    z3, z8 = root_of_unity(3), root_of_unity(8)
+    values = [
+        CycloNum.zero(), CycloNum.one(), CycloNum.from_rational(-1),
+        CycloNum.from_rational(2), CycloNum.from_rational(Fraction(1, 3)),
+        z3 - z3**2,                      # sqrt(-3)
+        z8 + z8**7,                      # sqrt(2)
+        root_of_unity(5) + 2,
+        (root_of_unity(12) + 1) * Fraction(1, 3),
+        root_of_unity(9, 4) * Fraction(-1, 2),
+    ]
+    for x in values:
+        for k in (2, 3, 4):
+            y = x.lift(x.n * k)
+            untagged = CycloNum(y.n, y.c)
+            assert y == x == untagged
+            assert hash(y) == hash(x) == hash(untagged)
+    # the same non-root value reached at two conductors by arithmetic
+    assert 2 * root_of_unity(12, 4) + 1 == z3 - z3**2
+    assert hash(2 * root_of_unity(12, 4) + 1) == hash(z3 - z3**2)
+
+
+def test_roots_of_unity_hash_apart():
+    # every root of order dividing 144 (the conductor of q for n = 12, the
+    # largest the n <= 12 sweeps build) has its own hash, tagged or not,
+    # at any conductor
+    tagged = [root_of_unity(144, e) for e in range(144)]
+    assert len({hash(z) for z in tagged}) == 144
+    for e in range(0, 144, 7):
+        assert hash(CycloNum(144, tagged[e].c)) == hash(tagged[e])
+    for k in (1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 36, 48, 72):
+        for e in range(k):
+            assert hash(root_of_unity(k, e)) == hash(tagged[e * (144 // k)])
+
+
 def test_mult_order():
     assert mult_order(root_of_unity(12, 1)) == 12
     assert mult_order(root_of_unity(12, 8)) == 3
@@ -77,6 +119,23 @@ def test_as_root_of_unity():
     assert root_exponent(root_of_unity(9, 6), 9) == 6
     assert root_exponent(root_of_unity(4, 3), 16) == 12
     assert root_exponent(CycloNum.one(), 5) == 0
+
+
+def test_untagged_roots_of_unity():
+    # +-zeta_n^e built from coefficients carry no tag; at odd n the
+    # negatives are the roots of even order, which no zeta_n^e is
+    for n in (1, 2, 3, 5, 8, 9, 12, 15):
+        for e in range(n):
+            for sign in (1, -1):
+                x = CycloNum(n, [0] * e + [sign])
+                assert x._root is None
+                k, f = x.as_root_of_unity()
+                assert 0 <= f < k and math.gcd(f, k) == 1
+                assert x == root_of_unity(k, f) and x.mult_order() == k
+                assert x**k == 1 and all(x**j != 1 for j in range(1, k))
+    for x in (CycloNum.zero(), CycloNum.from_rational(2),
+              root_of_unity(5) + 1, root_of_unity(12) * Fraction(1, 2)):
+        assert x.as_root_of_unity() is None and x.mult_order() is None
 
 
 def test_as_root_of_unity_leaves_the_value_untouched():
@@ -113,6 +172,18 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
     for n in (9, 12, 15, 30):
         assert len(cyclotomic_polynomial(n)) == euler_phi(n) + 1
+
+
+def cyclic_mul(a, b) -> list[int]:
+    """The product of two integer vectors of length N modulo x^N - 1."""
+    N = len(a)
+    out = [0] * N
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[(i + j) % N] += x * y
+    return out
 
 
 def test_cyclic_mul_is_product_then_bucketing():
