@@ -33,6 +33,7 @@ from .cocycle import (
     pentagon_check,
     pentagon_report,
     phi,
+    phi_exponent,
     sigma,
     sigma_check,
     sigma_report,

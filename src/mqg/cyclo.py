@@ -537,8 +537,8 @@ def cached_mul(a: CycloNum, b: CycloNum) -> CycloNum:
     equal operands at another conductor, so what it returns depends on
     what ran earlier in the process.  Roots of unity hash by their
     reduced (order, exponent), so a lookup of a root compares against
-    equal roots only.  Only `cocycle` and `bimodule` still use it
-    (ROADMAP item 1 removes it)."""
+    equal roots only.  Its only users are `cocycle.sigma` and
+    `sigma_report` and the `bimodule` layer (ROADMAP item 1 removes it)."""
     return a * b
 
 

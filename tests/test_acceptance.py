@@ -49,14 +49,16 @@ from mqg.corep import (
 def _fresh_caches():
     """Each criterion is timed from a cold cache.
 
-    The scalar product cache `cyclo.cached_mul` (used by the cocycle and
-    bimodule layers) stays small: 528 entries after the n <= 12 pentagon
-    and sigma sweeps, 5,124 after the n <= 8 bimodule sweep.  But it is
-    keyed by value, so what one criterion leaves in it decides the
-    conductor of the products a later one gets back; the integer
-    q-binomial buckets of `shuffle._binomial_buckets` grow with every
-    conductor seen.  Clearing both between criteria makes each criterion
-    compute, and take, what it would in isolation.
+    The scalar product cache `cyclo.cached_mul` is filled only by the
+    sigma reports (`cocycle.sigma` and `sigma_report`) and the bimodule
+    layer; the pentagon is decided on integer exponents and never
+    touches it.  It stays small: 528 entries after the n <= 12 sigma
+    sweep, 5,124 after the n <= 8 bimodule sweep.  But it is keyed by
+    value, so what one criterion leaves in it decides the conductor of
+    the products a later one gets back; the integer q-binomial buckets
+    of `shuffle._binomial_buckets` grow with every conductor seen.
+    Clearing both between criteria makes each criterion compute, and
+    take, what it would in isolation.
     """
     for f in (
         mqg.cyclo.cached_mul,
@@ -79,11 +81,11 @@ def _verdict(num, ok, detail):
 
 
 def test_criterion_01_cocycle_suite():
-    """Pentagon identity and normalization, n <= 12, all s, exact."""
+    """Pentagon identity and normalization, n <= 16, all s, exact."""
     t0 = time.time()
     checked = 0
     ok = True
-    for n in range(2, 13):
+    for n in range(2, 17):
         for s in range(n):
             rep = pentagon_report(CocycleParams.standard(n, s))
             checked += 1
@@ -94,7 +96,7 @@ def test_criterion_01_cocycle_suite():
     dt = time.time() - t0
     _verdict(1, ok and dt < 10,
              f"pentagon+normalization exact on {checked} (n,s) pairs, "
-             f"n <= 12, in {dt:.2f}s (< 10s)")
+             f"n <= 16, in {dt:.2f}s (< 10s)")
 
 
 def test_criterion_02_twisted_algebra_suite():

@@ -13,6 +13,7 @@ from mqg.cocycle import (
     pentagon_check,
     pentagon_report,
     phi,
+    phi_exponent,
     sigma,
     sigma_check,
     sigma_report,
@@ -45,6 +46,16 @@ def test_phi_values():
     assert phi(params3, 5, 4, 5) == phi(params3, 2, 1, 2)
 
 
+def test_phi_is_qq_to_phi_exponent():
+    for n in range(2, 7):
+        for s in range(n):
+            params = CocycleParams.standard(n, s)
+            for i, j, k in product(range(-1, n + 1), repeat=3):
+                e = phi_exponent(params, i, j, k)
+                assert 0 <= e < n
+                assert phi(params, i, j, k) == params.qq ** e
+
+
 def test_phi_trivial_for_s_zero():
     params = CocycleParams.standard(4, 0)
     one = CycloNum.one()
@@ -60,6 +71,26 @@ def test_pentagon_small():
             assert pentagon_check(CocycleParams.standard(n, s))
 
 
+def _plain_pentagon_report(params, phi_table=None):
+    """pentagon_report as a plain loop over CycloNum values, multiplied
+    with `*`; phi_table overrides the cocycle with {(i, j, k): CycloNum}."""
+    n = params.n
+    t = phi_table or {(i, j, k): phi(params, i, j, k)
+                      for i, j, k in product(range(n), repeat=3)}
+    one = CycloNum.one()
+    for i, k in product(range(n), repeat=2):
+        if t[(i, 0, k)] != one:
+            return {"passed": False, "counterexample": [i, 0, k, None],
+                    "reason": "normalization"}
+    for i, j, k, l in product(range(n), repeat=4):
+        lhs = t[(i, j, (k + l) % n)] * t[((i + j) % n, k, l)]
+        rhs = t[(j, k, l)] * t[(i, (j + k) % n, l)] * t[(i, j, k)]
+        if lhs != rhs:
+            return {"passed": False, "counterexample": [i, j, k, l],
+                    "reason": "pentagon"}
+    return {"passed": True, "counterexample": None}
+
+
 def test_pentagon_negative_control():
     params = CocycleParams.standard(2, 1)
     table = {
@@ -67,9 +98,38 @@ def test_pentagon_negative_control():
         for i in range(2) for j in range(2) for k in range(2)
     }
     table[(1, 1, 1)] = root_of_unity(4)  # not even a sign
-    rep = pentagon_report(params, phi_table=table)
+    rep = _plain_pentagon_report(params, phi_table=table)
     assert not rep["passed"]
     assert rep["counterexample"] is not None
+
+
+def test_pentagon_report_matches_the_plain_loop():
+    for n in range(2, 7):
+        for s in range(n):
+            params = CocycleParams.standard(n, s)
+            assert pentagon_report(params) == _plain_pentagon_report(params)
+    params = CocycleParams.standard(4, 1)
+    exponents = {key: phi_exponent(params, *key)
+                 for key in product(range(4), repeat=3)}
+
+    def both(changes):
+        table = {**exponents, **changes}
+        rep = pentagon_report(params, phi_table=table)
+        oracle = _plain_pentagon_report(
+            params, {key: params.qq ** e for key, e in table.items()})
+        assert rep == oracle
+        return rep
+
+    # one exponent moved by one: the first failure, at l = 1 and at l = 0
+    for key, first in (((2, 3, 1), [1, 1, 3, 1]), ((2, 3, 0), [1, 1, 3, 0])):
+        assert both({key: exponents[key] + 1}) == {
+            "passed": False, "counterexample": first, "reason": "pentagon"}
+    # Phi(g^2, 1, g^3) = qq: not normalized
+    assert both({(2, 0, 3): 1}) == {
+        "passed": False, "counterexample": [2, 0, 3, None],
+        "reason": "normalization"}
+    # exponents count mod n: qq^4 = 1
+    assert both({(3, 0, 1): 4})["passed"]
 
 
 def test_sigma_is_two_cocycle():
