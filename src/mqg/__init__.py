@@ -8,7 +8,6 @@ from .cyclo import (
     InvalidConductorError,
     euler_phi,
     max_conductor,
-    mult_order,
     root_of_unity,
 )
 from .quiver import (
@@ -41,13 +40,7 @@ from .cocycle import (
     twisted_product_scalar,
 )
 from .bimodule import ArrowBimodule, build_bimodule, quasi_axiom_check
-from .shuffle import (
-    CrossCheckReport,
-    GaussScalar,
-    QuiverAlgebra,
-    gauss_binomial,
-    gauss_binomial_poly,
-)
+from .shuffle import CrossCheckReport, QuiverAlgebra, gauss_binomial_poly
 # corep before algebra: corep imports algebra before numpy, so the code of
 # every module is loaded before numpy is; loading it after numpy raised
 # the peak memory of a process by about 2 MB

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from math import gcd, lcm
 
 import numpy as np
@@ -29,10 +30,11 @@ from .cocycle import (
     legal_q_values,
     pentagon_report,
     phi,
+    phi_exponent,
     q_conductor,
 )
 from .quiver import Path, PathVector, comultiply, parse_path
-from .shuffle import QuiverAlgebra, _binomial_buckets
+from .shuffle import QuiverAlgebra, _binomial_buckets, _product_exponent
 
 __all__ = [
     "MajidAlgebra",
@@ -171,8 +173,9 @@ class _IntegerEngine:
     """The structure constants of M in the integer encoding.
 
     For N = lcm(d, n): hbar = zeta_N^hb_e, coef(p(i,l) p(j,m)) =
-    zeta_N^E(i,l,j,m) binom(l+m, l)_hbar for sources in 0..n-1,
-    Phi(g^i, g^j, g^k) = zeta_N^phi_e(i,j,k) and beta(g^i) =
+    zeta_N^E(i,l,j,m) binom(l+m, l)_hbar for sources in 0..n-1 with E
+    the one rule `shuffle._product_exponent`, Phi(g^i, g^j, g^k) =
+    zeta_N^phi_e(i,j,k) by `cocycle.phi_exponent` and beta(g^i) =
     zeta_N^beta_e(i); E and phi_e take integers or numpy arrays.
     Binomials are integer vectors modulo x^N - 1, and a value is zero
     when its vector reduces to 0 modulo Phi_N.  The checks of
@@ -186,22 +189,18 @@ class _IntegerEngine:
         n, d = M.n, M.d
         self.n, self.d = n, d
         self.N = N = lcm(d, n)  # d is the order of hbar
-        self.hb_e = hb_e = root_exponent(M.hbar, N)
-        s_qq = M.s * (N // n)
-
-        def E(i, l, j, m):
-            return hb_e * j * l + s_qq * (i + l % n) * ((m + j) // n)
-
-        def phi_e(i, j, k):
-            # for sources in 0..n-1, (j + k) // n is 1 iff j + k >= n
-            return s_qq * i * ((j + k) // n)
-
-        def beta_e(i):
-            # beta(g^i) = 1/Phi(g^i, g^-i, g^i)
-            return -phi_e(i, -i % n, i)
-
-        self.E, self.phi_e, self.beta_e = E, phi_e, beta_e
+        self.hb_e = root_exponent(M.hbar, N)
+        # E and Phi read the same s, M.s, which negative controls move
+        self.E = partial(_product_exponent, n, M.s, N, self.hb_e)
+        self._params = CocycleParams.standard(n, M.s)
         self._sweep = None
+
+    def phi_e(self, i, j, k):
+        return phi_exponent(self._params, i, j, k) * (self.N // self.n)
+
+    def beta_e(self, i):
+        # beta(g^i) = 1/Phi(g^i, g^-i, g^i)
+        return -self.phi_e(i, -i % self.n, i)
 
     def binomial(self, l: int, m: int):
         """binom(l+m, l)_hbar as a vector."""
@@ -530,9 +529,8 @@ def solve_antipode(M: MajidAlgebra) -> dict:
                     "a root of unity")
             c[(i, l)] = (hit[0], (hit[1] - E(-(i + l) % n, l, i, 0)) % N)
     one = CycloNum.one()
-    # every structure constant of positive degree has this conductor, and
-    # field arithmetic on them returns the coefficients at it
-    out = _signed_roots(N, M.product(Path(n, 0, 1), M.unit)[0].n) if d > 1 else {}
+    # at the conductor of the structure constants, a multiple of N
+    out = _signed_roots(N, M.algebra.conductor)
     table = {
         (i, l): (out[c[(i, l)]] if l else one, Path(n, -(i + l), l))
         for i in range(n)
@@ -827,7 +825,8 @@ def import_algebra(doc) -> MajidAlgebra:
     except KeyError as exc:
         raise ValueError(
             f"malformed algebra document: missing key {exc}") from None
-    if not all(isinstance(v, int) for v in (conductor, q_exp, n, s)):
+    # type, not isinstance: JSON true and false are not integers
+    if not all(type(v) is int for v in (conductor, q_exp, n, s)):
         raise ValueError("malformed algebra document: conductor, q_exp, n "
                          "and s must be integers")
     M = MajidAlgebra.build(n, s, root_of_unity(conductor, q_exp))

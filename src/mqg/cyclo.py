@@ -23,7 +23,6 @@ __all__ = [
     "InvalidConductorError",
     "ConductorLimitError",
     "root_of_unity",
-    "mult_order",
     "cached_mul",
     "euler_phi",
     "mobius",
@@ -190,7 +189,8 @@ class CycloNum:
     def __init__(self, conductor: int, coeffs, _root=None):
         _check_conductor(conductor)
         phi = euler_phi(conductor)
-        cl = [x if isinstance(x, Fraction) else Fraction(x) for x in coeffs]
+        cl = [x if isinstance(x, Fraction) else Fraction(x) if x else _ZERO_FR
+              for x in coeffs]
         if len(cl) > phi:
             ct = _reduce_mod_phi(cl, conductor)
         else:
@@ -523,10 +523,6 @@ def _roots_at(n: int) -> dict:
         g = math.gcd(m, f)
         out[c] = (m // g, f // g)
     return out
-
-
-def mult_order(a: CycloNum):
-    return a.mult_order()
 
 
 @lru_cache(maxsize=1 << 18)

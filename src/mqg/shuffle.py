@@ -6,15 +6,20 @@ Two independent evaluation routes exist for products of paths:
   thin splits of `quiver.thin_splits`, grouped by how many arrows of
   each factor have been consumed (exact and polynomial-time).  It does
   not know the closed form.
-* the closed product formula with Gaussian binomials.
+* the closed product formula: coef(p(i,l) p(j,m)) is a root of unity
+  zeta_N^E(i,l,j,m) times the Gaussian binomial (l+m choose l)_hbar.
+  `_product_exponent` is the one rule for E and `_binomial_buckets` the
+  one table of binomials, both on integers.
 
-`cross_check` asserts both routes agree pair by pair.
+Both routes work at the conductor Q = `cocycle.q_conductor(n, s)` of the
+family, so every structure constant of M(n, s, q) has conductor Q
+however q was written.  `cross_check` asserts both routes agree pair by
+pair.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 from .cyclo import (
     CycloNum,
@@ -22,14 +27,12 @@ from .cyclo import (
     root_exponent,
     rotate,
 )
-from .cocycle import CocycleParams
+from .cocycle import CocycleParams, q_conductor
 from .bimodule import ArrowBimodule, build_bimodule
 from .quiver import Path, PathVector
 
 __all__ = [
-    "GaussScalar",
     "QuiverAlgebra",
-    "gauss_binomial",
     "gauss_binomial_poly",
     "CrossCheckReport",
 ]
@@ -51,23 +54,6 @@ def gauss_binomial_poly(total: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _eval_int_poly(coeffs, h: CycloNum) -> CycloNum:
-    order = h.mult_order()
-    if order is not None:
-        buckets = [0] * order
-        for e, c in enumerate(coeffs):
-            buckets[e % order] += c
-        acc = CycloNum.zero()
-        for r, c in enumerate(buckets):
-            if c:
-                acc = acc + h**r * c
-        return acc
-    acc = CycloNum.zero()
-    for c in reversed(coeffs):
-        acc = acc * h + c
-    return acc
-
-
 @lru_cache(maxsize=1 << 16)
 def _binomial_buckets(conductor: int, hbar_exp: int, l: int, m: int) -> tuple[int, ...]:
     """(l+m choose l)_{x^hbar_exp} as a coefficient vector mod x^conductor - 1."""
@@ -78,32 +64,13 @@ def _binomial_buckets(conductor: int, hbar_exp: int, l: int, m: int) -> tuple[in
     return tuple(buckets)
 
 
-def gauss_binomial(h: CycloNum, l: int, m: int) -> CycloNum:
-    """(l+m choose l)_h, exact for any h including roots of unity."""
-    return _eval_int_poly(gauss_binomial_poly(l + m, l), h)
-
-
-class GaussScalar:
-    """Gaussian integers, factorials and binomials to the base hbar."""
-
-    def __init__(self, hbar: CycloNum):
-        self.hbar = hbar
-        self._binomials = {}  # (l, m) -> (l+m choose l)_hbar
-
-    def integer(self, l: int) -> CycloNum:
-        return _eval_int_poly((1,) * l, self.hbar) if l else CycloNum.zero()
-
-    def factorial(self, l: int) -> CycloNum:
-        acc = CycloNum.one()
-        for k in range(1, l + 1):
-            acc = acc * self.integer(k)
-        return acc
-
-    def binomial(self, l: int, m: int) -> CycloNum:
-        hit = self._binomials.get((l, m))
-        if hit is None:
-            hit = self._binomials[(l, m)] = gauss_binomial(self.hbar, l, m)
-        return hit
+def _product_exponent(n: int, s: int, N: int, hbar_exp: int, i, l, j, m):
+    """The E with coef(p(i,l) p(j,m)) = zeta_N^E (l+m choose l)_hbar in
+    M(n, s, q), for sources i, j in 0..n-1, hbar = zeta_N^hbar_exp and a
+    conductor N that n divides: zeta_N^E = hbar^(j l) qq^(s (i + l mod n) c)
+    with qq = zeta_N^(N/n) and the carry c = (j + m) // n.  Takes
+    integers or numpy arrays."""
+    return hbar_exp * j * l + N // n * s * (i + l % n) * ((j + m) // n)
 
 
 @dataclass
@@ -122,7 +89,9 @@ class QuiverAlgebra:
         self.n = bimodule.n
         self.q = bimodule.q
         self.hbar = bimodule.deformation
-        self.gauss = GaussScalar(self.hbar)
+        # the conductor of every structure constant, and hbar = zeta_Q^hb
+        self.conductor = q_conductor(self.n, self.params.s)
+        self._hb = root_exponent(self.hbar, self.conductor)
         self._exp_tables = None
 
     @classmethod
@@ -133,54 +102,47 @@ class QuiverAlgebra:
     # -- lattice accumulation of the thin-split sum ------------------------
 
     def _exponent_tables(self):
-        """Bracket scalars as exponents of a common root of unity."""
-        if self._exp_tables is not None:
-            return self._exp_tables
-        n = self.n
-        keys = [(a, arrow) for a in range(n) for arrow in range(1, n + 1)]
-        right = {(a, i): self.bimodule.right_act(i, a)[0] for a, i in keys}
-        left = {(a, i): self.bimodule.left_act(a, i)[0] for a, i in keys}
-        conductor = 1
-        for c in (*right.values(), *left.values()):
-            k, _ = c.as_root_of_unity()
-            conductor = conductor * k // gcd(conductor, k)
-        rexp = {key: root_exponent(c, conductor) for key, c in right.items()}
-        lexp = {key: root_exponent(c, conductor) for key, c in left.items()}
-        self._exp_tables = (conductor, rexp, lexp)
+        """Bracket scalars as exponents of zeta_Q."""
+        if self._exp_tables is None:
+            n, Q = self.n, self.conductor
+            keys = [(a, arrow) for a in range(n) for arrow in range(1, n + 1)]
+            self._exp_tables = (
+                {(a, i): root_exponent(self.bimodule.right_act(i, a)[0], Q)
+                 for a, i in keys},
+                {(a, i): root_exponent(self.bimodule.left_act(a, i)[0], Q)
+                 for a, i in keys},
+            )
         return self._exp_tables
 
     def _shuffle_grid(self, i: int, j: int, lmax: int, mmax: int, bound=None):
         """All thin-split sums F[a][b] = coeff of p_i^a * p_j^b at once.
 
-        Values are integer coefficient vectors modulo x^N - 1 for the
-        common conductor N: F[a][b][k] is the coefficient of zeta_N^k.
+        Values are integer coefficient vectors modulo x^Q - 1 for the
+        conductor Q of the family: F[a][b][k] is the coefficient of
+        zeta_Q^k.
         """
-        conductor, rexp, lexp = self._exponent_tables()
+        rexp, lexp = self._exponent_tables()
         n = self.n
-        zero = [0] * conductor
-        start = list(zero)
-        start[0] = 1
+        # cells may share one list (rotate by 0 returns its input): none
+        # is modified once stored
         F = [[None] * (mmax + 1) for _ in range(lmax + 1)]
-        F[0][0] = start
+        F[0][0] = [1] + [0] * (self.conductor - 1)
         for a in range(lmax + 1):
             for b in range(mmax + 1):
                 if a == 0 and b == 0:
                     continue
                 if bound is not None and a + b > bound:
                     continue
-                acc = list(zero)
+                acc = None
                 if a > 0:
                     e = rexp[((j + b) % n, (i + a - 1) % n + 1)]
-                    v = rotate(F[a - 1][b], e)
-                    for k in range(conductor):
-                        acc[k] += v[k]
+                    acc = rotate(F[a - 1][b], e)
                 if b > 0:
                     e = lexp[((i + a) % n, (j + b - 1) % n + 1)]
                     v = rotate(F[a][b - 1], e)
-                    for k in range(conductor):
-                        acc[k] += v[k]
+                    acc = v if acc is None else [x + y for x, y in zip(acc, v)]
                 F[a][b] = acc
-        return conductor, F
+        return F
 
     # -- public products ---------------------------------------------------
 
@@ -190,24 +152,25 @@ class QuiverAlgebra:
         for p1, c1 in alpha.terms.items():
             for p2, c2 in beta.terms.items():
                 l, m = p1.length, p2.length
-                conductor, F = self._shuffle_grid(p1.source, p2.source, l, m)
-                coeff = CycloNum(conductor, F[l][m]) * c1 * c2
+                F = self._shuffle_grid(p1.source, p2.source, l, m)
+                coeff = CycloNum(self.conductor, F[l][m]) * c1 * c2
                 target = Path(self.n, p1.source + p2.source, l + m)
                 out = out + PathVector(self.n, {target: coeff})
         return out
 
+    def _closed_form_vec(self, i: int, l: int, j: int, m: int) -> list[int]:
+        """The closed-form coefficient of p(i,l) p(j,m) as an integer
+        vector mod x^Q - 1."""
+        n, s, Q, hb = self.n, self.params.s, self.conductor, self._hb
+        e = _product_exponent(n, s, Q, hb, i, l, j, m)
+        return list(rotate(_binomial_buckets(Q, hb, l, m), e))
+
     def closed_form_product(self, p1: Path, p2: Path) -> tuple[CycloNum, Path]:
-        """Scalar and target path of p_i^l . p_j^m by the closed formula."""
-        n, s = self.n, self.params.s
-        i, l = p1.source, p1.length
-        j, m = p2.source, p2.length
-        lp = l % n
-        carry = (m + j - (m + j) % n) // n
-        scal = self.hbar ** (j * l)
-        if s:
-            scal = scal * self.params.qq ** (s * (i + lp) * carry)
-        scal = scal * self.gauss.binomial(l, m)
-        return scal, Path(n, i + j, l + m)
+        """Scalar and target path of p_i^l . p_j^m by the closed formula;
+        the scalar has the conductor Q of the family."""
+        i, l, j, m = p1.source, p1.length, p2.source, p2.length
+        return (CycloNum(self.conductor, self._closed_form_vec(i, l, j, m)),
+                Path(self.n, i + j, l + m))
 
     def multiply(self, alpha: PathVector, beta: PathVector) -> PathVector:
         """Production product: bilinear extension of the closed formula."""
@@ -218,57 +181,44 @@ class QuiverAlgebra:
                 out = out + PathVector(self.n, {target: coeff * c1 * c2})
         return out
 
-    def power_left(self, p: PathVector, k: int, use_closed_form=False) -> PathVector:
-        """(..(p.p).p)..p, left-nested."""
+    def power_left(self, p: PathVector, k: int) -> PathVector:
+        """(..(p.p).p)..p, left-nested, by the thin-split sum."""
         if k < 1:
             raise ValueError("power exponent must be >= 1")
-        mul = self.multiply if use_closed_form else self.shuffle_multiply
         acc = p
         for _ in range(k - 1):
-            acc = mul(acc, p)
+            acc = self.shuffle_multiply(acc, p)
         return acc
 
-    def power_right(self, p: PathVector, k: int, use_closed_form=False) -> PathVector:
-        """p..(p.(p.p)..), right-nested."""
+    def power_right(self, p: PathVector, k: int) -> PathVector:
+        """p..(p.(p.p)..), right-nested, by the thin-split sum."""
         if k < 1:
             raise ValueError("power exponent must be >= 1")
-        mul = self.multiply if use_closed_form else self.shuffle_multiply
         acc = p
         for _ in range(k - 1):
-            acc = mul(p, acc)
+            acc = self.shuffle_multiply(p, acc)
         return acc
-
-    def _closed_form_vec(self, i: int, j: int, l: int, m: int,
-                         conductor: int, hbar_exp: int):
-        """Closed-form coefficient as an integer vector mod x^N - 1."""
-        n, s = self.n, self.params.s
-        carry = (m + j - (m + j) % n) // n
-        e = (hbar_exp * j * l + s * (i + l % n) * carry * (conductor // n)) % conductor
-        buckets = _binomial_buckets(conductor, hbar_exp, l, m)
-        return list(rotate(buckets, e))
 
     def cross_check(self, max_total_length: int) -> CrossCheckReport:
         """Thin-split sum == closed formula for every pair with l+m below
         the bound, every pair of sources.
 
-        Both sides are compared in Z[x]/(x^N - 1) and the difference is
-        reduced modulo Phi_N with integer arithmetic, so the check is
+        Both sides are compared in Z[x]/(x^Q - 1), the closed side as the
+        very vector `closed_form_product` returns, and the difference is
+        reduced modulo Phi_Q with integer arithmetic, so the check is
         exact and Fraction-free.
         """
-        n = self.n
-        conductor, _, _ = self._exponent_tables()
-        hbar_exp = root_exponent(self.hbar, conductor)
-
+        n, conductor = self.n, self.conductor
         checked = 0
         for i in range(n):
             for j in range(n):
-                _, F = self._shuffle_grid(
+                F = self._shuffle_grid(
                     i, j, max_total_length, max_total_length, bound=max_total_length
                 )
                 for l in range(max_total_length + 1):
                     for m in range(max_total_length + 1 - l):
                         got = F[l][m]
-                        want = self._closed_form_vec(i, j, l, m, conductor, hbar_exp)
+                        want = self._closed_form_vec(i, l, j, m)
                         checked += 1
                         if got != want and not int_vec_zero_mod_phi(
                             [a - b for a, b in zip(got, want)], conductor

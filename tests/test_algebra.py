@@ -10,10 +10,11 @@ from mqg.cyclo import (
     CycloNum,
     _reduce_mod_phi,
     int_vec_zero_mod_phi,
+    root_exponent,
     root_of_unity,
     rotate,
 )
-from mqg.cocycle import CocycleParams, legal_q_values
+from mqg.cocycle import CocycleParams, legal_q_values, q_conductor
 from mqg.quiver import Path, PathVector
 from mqg.algebra import (
     MajidAlgebra,
@@ -413,11 +414,30 @@ def test_export_import_round_trip():
     assert export_algebra(M2, "json") == text
 
 
+@pytest.mark.parametrize("n,s,q", [
+    (3, 1, CycloNum(9, [0, 1])),  # zeta_9 with no root tag
+    (3, 1, root_of_unity(18, 2)),  # zeta_9 at conductor 18
+    (2, 1, CycloNum(4, [0, 1])),  # i with no root tag
+    (2, 1, root_of_unity(8, 2)),  # i at conductor 8
+], ids=["untagged-zeta9", "zeta18^2", "untagged-i", "zeta8^2"])
+def test_export_does_not_depend_on_how_q_is_written(n, s, q):
+    # the structure constants take the conductor of the family, not of q
+    Q = q_conductor(n, s)
+    canonical = MajidAlgebra.build(n, s, root_of_unity(Q, root_exponent(q, Q)))
+    text = export_algebra(MajidAlgebra.build(n, s, q), "json")
+    assert text == export_algebra(canonical, "json")
+    assert export_algebra(import_algebra(text), "json") == text
+
+
 def test_import_rejects_tampering():
     M = _M(2, 1)
     doc = export_algebra(M)
     doc["mult"][5]["coeff"]["num"][0] += 1
     with pytest.raises(StructureError):
+        import_algebra(json.dumps(doc))
+    doc = export_algebra(M)
+    doc["s"] = True  # JSON true, not the integer 1
+    with pytest.raises(ValueError):
         import_algebra(json.dumps(doc))
 
 

@@ -1,11 +1,17 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mqg import MajidAlgebra, export_algebra, root_of_unity
 from mqg.cli import run
 
 
@@ -171,3 +177,45 @@ def test_invalid_max_conductor_is_a_usage_error(value):
 def test_help_exits_clean(capsys):
     assert run(["--help"]) == 0
     assert "classify" in _out(capsys)
+
+
+_DUMP = export_algebra(MajidAlgebra.build(2, 1, root_of_unity(4)))
+
+
+def _positions(node, path=()):
+    """The path of every dict value and list item under `node`."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _positions(value, path + (key,))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(position=st.one_of(  # a top-level field half of the time
+           st.sampled_from([(key,) for key in _DUMP]),
+           st.sampled_from(list(_positions(_DUMP)))),
+       mutation=st.one_of(
+           st.tuples(st.just("number"), st.integers(-10 ** 6, 10 ** 6)),
+           st.tuples(st.just("drop"), st.none()),
+           st.tuples(st.just("swap"),
+                     st.sampled_from([None, "x", [], {}, 1.5, True]))))
+def test_mutated_dump_keeps_the_exit_contract(position, mutation):
+    # one field of an M(2,1) dump changed: a number, a dropped key or
+    # item, or a value of another type
+    doc = copy.deepcopy(_DUMP)
+    parent, key = reduce(getitem, position[:-1], doc), position[-1]
+    kind, value = mutation
+    if kind == "drop":
+        del parent[key]
+    else:
+        parent[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        dump = os.path.join(tmp, "m.json")
+        with open(dump, "w") as fh:
+            json.dump(doc, fh)
+        assert run(["verify", "--import", dump]) in (0, 1, 2)

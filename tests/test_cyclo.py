@@ -12,7 +12,6 @@ from mqg.cyclo import (
     cyclotomic_polynomial,
     euler_phi,
     int_vec_zero_mod_phi,
-    mult_order,
     root_exponent,
     root_of_unity,
     rotate,
@@ -105,11 +104,11 @@ def test_roots_of_unity_hash_apart():
 
 
 def test_mult_order():
-    assert mult_order(root_of_unity(12, 1)) == 12
-    assert mult_order(root_of_unity(12, 8)) == 3
-    assert mult_order(CycloNum.one()) == 1
-    assert mult_order(CycloNum.from_rational(2)) is None
-    assert mult_order(CycloNum.zero()) is None
+    assert root_of_unity(12, 1).mult_order() == 12
+    assert root_of_unity(12, 8).mult_order() == 3
+    assert CycloNum.one().mult_order() == 1
+    assert CycloNum.from_rational(2).mult_order() is None
+    assert CycloNum.zero().mult_order() is None
 
 
 def test_as_root_of_unity():
