@@ -4,20 +4,21 @@ cyclic quiver.
 A comodule over the length-d truncated cycle coalgebra is stored on the
 module side: a dimension vector over the n vertices plus an arrow matrix
 per vertex, with every composite of d consecutive arrows zero.  The
-composites from a vertex are built as one chain, each from the one
-before by a single product with the next arrow
-(:meth:`CycleModule.composite_chain`); the rank table, the nilpotency
-check and the tensor check read these chains.  All decomposition
+composites from a vertex are built once, at construction, as one chain,
+each from the one before by a single product with the next arrow
+(:meth:`CycleModule.composite_chain`); the nilpotency check, the rank
+table and the tensor check read these chains.  All decomposition
 machinery is exact linear algebra over CycloNum with plain products, not
 the global product cache, so every value keeps the conductor of its
-inputs; one Gauss-Jordan routine serves rank, kernel and inverse.  The
-one floating-point computation is the power iteration inside
+inputs; one division-free Gauss-Jordan routine serves rank and kernel.
+The one floating-point computation is the power iteration inside
 :func:`fp_dimension`, which is always compared against an exact row-sum
 certificate.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -83,9 +84,11 @@ def _mat_mul(A, B, cols: int):
 
 
 def _row_reduce(rows, cols: int):
-    """Exact Gauss-Jordan elimination.  Returns (R, pivots): R holds the
-    rows in reduced row-echelon form, row t with its leading one in
-    column pivots[t] for t < len(pivots)."""
+    """Exact Gauss-Jordan elimination without division (fraction-free,
+    as in Bareiss 1968): each other row is cleared by cross-multiplying,
+    R[i] = p R[i] - f R[r] for the pivot p.  Returns (R, pivots): row t
+    of R has the nonzero pivot R[t][pivots[t]], and every other row is
+    zero in column pivots[t]."""
     R = [row[:] for row in rows]
     pivots = []
     for c in range(cols):
@@ -97,12 +100,12 @@ def _row_reduce(rows, cols: int):
         if piv is None:
             continue
         R[r], R[piv] = R[piv], R[r]
-        inv = R[r][c].inverse()
-        R[r] = [x if x.is_zero() else x * inv for x in R[r]]
+        p = R[r][c]
         for i, row in enumerate(R):
             f = row[c]
             if i != r and not f.is_zero():
-                R[i] = [x if y.is_zero() else x - f * y
+                R[i] = [p * x - f * y if not y.is_zero()
+                        else x if x.is_zero() else p * x
                         for x, y in zip(row, R[r])]
         pivots.append(c)
     return R, pivots
@@ -114,23 +117,27 @@ def _rank(A, cols: int) -> int:
 
 def _kernel_basis(rows, cols: int):
     """Basis of the kernel of the row system, one vector per free
+    column.  Row t, multiplied by the product of the other pivots, has
+    the common pivot P, the product of all pivots; the vector of a free
+    column is P there and minus that scaled row's entry at each pivot
     column."""
     R, pivots = _row_reduce(rows, cols)
+    heads = [row[pc] for row, pc in zip(R, pivots)]
+    # before[t] and after[t]: the products of the pivots of rows < t and
+    # of rows >= t; row t's factor is the product of the other pivots
+    before = list(itertools.accumulate(heads, operator.mul, initial=_ONE))
+    after = list(itertools.accumulate(reversed(heads), operator.mul,
+                                      initial=_ONE))[::-1]
+    others = [b * a for b, a in zip(before, after[1:])]
     out = []
     for fc in sorted(set(range(cols)) - set(pivots)):
         vec = [_ZERO] * cols
-        vec[fc] = _ONE
-        for row, pc in zip(R, pivots):
-            vec[pc] = -row[fc]
+        vec[fc] = before[-1]
+        for row, pc, o in zip(R, pivots, others):
+            if not row[fc].is_zero():
+                vec[pc] = -(o * row[fc])
         out.append(vec)
     return out
-
-
-def _inverse(U):
-    """The inverse of an invertible square matrix: row-reduce [U | I]."""
-    k = len(U)
-    R, _ = _row_reduce([row + e for row, e in zip(U, _identity(k))], 2 * k)
-    return [row[k:] for row in R]
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +149,7 @@ class CycleModule:
     """A representation of the bound cycle quiver: dims[i] at vertex i and
     arrows[i]: V_i -> V_{i+1 mod n}, with d-fold composites zero."""
 
-    def __init__(self, n: int, d: int, dims, arrows, check: bool = True):
+    def __init__(self, n: int, d: int, dims, arrows):
         self.n = n
         self.d = d
         self.dims = tuple(int(x) for x in dims)
@@ -153,36 +160,36 @@ class CycleModule:
               for x in row] for row in mat]
             for mat in arrows
         ]
+        if len(self.arrows) != n:
+            raise ValueError(
+                f"need {n} arrow matrices, got {len(self.arrows)}")
         for i, mat in enumerate(self.arrows):
             rows, cols = self.dims[(i + 1) % n], self.dims[i]
             if len(mat) != rows or any(len(row) != cols for row in mat):
                 raise ValueError(f"arrow {i} has the wrong shape")
-        if check:
-            self._check_nilpotent()
-
-    def _check_nilpotent(self):
-        for i in range(self.n):
-            if any(not x.is_zero() for row in self.composite(i, self.d)
-                   for x in row):
+        # chain i holds composite(i, k) for 0 <= k <= d, each from the one
+        # before by one product with the next arrow
+        self._chains = []
+        for i, cols in enumerate(self.dims):
+            chain = [_identity(cols)]
+            for t in range(d):
+                chain.append(_mat_mul(self.arrows[(i + t) % n], chain[-1],
+                                      cols))
+            if any(not x.is_zero() for row in chain[-1] for x in row):
                 raise NotAComoduleError(
-                    f"length-{self.d} composite from vertex {i} is nonzero"
-                )
+                    f"length-{d} composite from vertex {i} is nonzero")
+            self._chains.append(chain)
 
     def total_dim(self) -> int:
         return sum(self.dims)
 
     def composite_chain(self, i: int, k: int):
-        """[composite(i, 0), ..., composite(i, k)], each from the one
-        before by one product with the next arrow.  composite(i, t) has
-        shape dims[i+t] x dims[i], also through zero-dimensional
-        vertices."""
-        i %= self.n
-        cols = self.dims[i]
-        chain = [_identity(cols)]
-        for t in range(k):
-            chain.append(_mat_mul(self.arrows[(i + t) % self.n], chain[-1],
-                                  cols))
-        return chain
+        """[composite(i, 0), ..., composite(i, k)] for k <= d, as built at
+        construction.  composite(i, t) has shape dims[i+t] x dims[i], also
+        through zero-dimensional vertices."""
+        if k > self.d:
+            raise ValueError(f"composite length {k} exceeds d = {self.d}")
+        return self._chains[i % self.n][:k + 1]
 
     def composite(self, i: int, k: int):
         """The composite of k consecutive arrows starting at vertex i."""
@@ -190,12 +197,9 @@ class CycleModule:
 
     def rank_table(self):
         """r[i][k], the rank of composite(i, k), for every vertex i and
-        0 <= k <= d: one chain per vertex, n (d - 1) products and ranks."""
-        table = []
-        for i, cols in enumerate(self.dims):
-            chain = self.composite_chain(i, self.d - 1)
-            table.append([cols] + [_rank(C, cols) for C in chain[1:]] + [0])
-        return table
+        0 <= k <= d: n (d - 1) ranks of the chains built at construction."""
+        return [[cols] + [_rank(C, cols) for C in chain[1:self.d]] + [0]
+                for cols, chain in zip(self.dims, self._chains)]
 
     def rank_profile(self, i: int, k: int) -> int:
         """r(i, k): rank of the k-fold composite from vertex i."""
@@ -736,10 +740,10 @@ def random_module(n: int, d: int, rng: random.Random, max_total: int = 9):
         parts = [rng.choice([I for I in intervals if I.length <= max_total])]
     M = direct_sum([I.realize() for I in parts])
     # conjugate: new arrows U_{v+1} A_v U_v^{-1} with unimodular U_v
-    us = [_random_unimodular(M.dims[v], rng) for v in range(n)]
+    us, u_invs = zip(*(_random_unimodular(M.dims[v], rng) for v in range(n)))
     arrows = [
         _mat_mul(_mat_mul(us[(v + 1) % n], M.arrows[v], M.dims[v]),
-                 _inverse(us[v]), M.dims[v])
+                 u_invs[v], M.dims[v])
         for v in range(n)
     ]
     multiset = {}
@@ -750,14 +754,19 @@ def random_module(n: int, d: int, rng: random.Random, max_total: int = 9):
 
 
 def _random_unimodular(k: int, rng: random.Random):
-    out = _identity(k)
+    """(U, U^-1) for U a product of random integer shears; the inverse is
+    the product of the inverse shears in reverse order."""
+    out, inv = _identity(k), _identity(k)
     if k < 2:
-        return out
+        return out, inv
     for _ in range(2 * k):
         a, b = rng.randrange(k), rng.randrange(k)
         if a == b:
             continue
-        shear = _identity(k)
-        shear[a][b] = CycloNum.from_rational(rng.randint(-2, 2))
+        x = rng.randint(-2, 2)
+        shear, unshear = _identity(k), _identity(k)
+        shear[a][b] = CycloNum.from_rational(x)
+        unshear[a][b] = CycloNum.from_rational(-x)
         out = _mat_mul(shear, out, k)
-    return out
+        inv = _mat_mul(inv, unshear, k)
+    return out, inv

@@ -301,28 +301,21 @@ class CycloNum:
         return other * self.inverse()
 
     def inverse(self) -> "CycloNum":
+        """The inverse of a root of unity or a nonzero rational: a tagged
+        root by its tag, an untagged root or a rational at the conductor
+        of self.  Any other value raises ValueError."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta)")
         if self._root:
             rn, re = self._root
             return root_of_unity(rn, -re)
-        if self.n == 1:
-            return CycloNum(1, [1 / self.c[0]])
-        # extended Euclid on (self, Phi_n) over Q[x]
-        phi_poly = [Fraction(x) for x in cyclotomic_polynomial(self.n)]
-        r0, r1 = phi_poly, list(self.c)
-        s0, s1 = [_ZERO_FR], [_ONE_FR]
-        while any(r1):
-            q, r = _poly_divmod_fr(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub_fr(s0, _poly_mul_fr(q, s1))
-        # r0 = gcd; it is a nonzero constant since Phi_n is irreducible
-        while len(r0) > 1 and not r0[-1]:
-            r0.pop()
-        assert len(r0) == 1 and r0[0] != 0
-        g = r0[0]
-        inv_coeffs = [x / g for x in s0]
-        return CycloNum(self.n, inv_coeffs)
+        if self.is_rational():
+            return CycloNum(self.n, [1 / self.c[0]])
+        root = self.as_root_of_unity()
+        if root is None:
+            raise ValueError(
+                f"{self!r} is neither a root of unity nor a rational")
+        return self ** (root[0] - 1)
 
     def __pow__(self, e: int) -> "CycloNum":
         if self._root:
@@ -458,46 +451,6 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return CycloNum(1, [Fraction(x)])
     return NotImplemented
-
-
-def _poly_divmod_fr(a: list, b: list):
-    a = list(a)
-    while a and not a[-1]:
-        a.pop()
-    b = list(b)
-    while b and not b[-1]:
-        b.pop()
-    db = len(b) - 1
-    lead = b[-1]
-    q = [_ZERO_FR] * max(len(a) - db, 1)
-    while len(a) - 1 >= db and any(a):
-        i = len(a) - 1
-        if not a[i]:
-            a.pop()
-            continue
-        c = a[i] / lead
-        q[i - db] = c
-        for j in range(len(b)):
-            a[i - db + j] -= c * b[j]
-        a.pop()
-    return q, a if a else [_ZERO_FR]
-
-
-def _poly_mul_fr(a: list, b: list) -> list:
-    out = [_ZERO_FR] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub_fr(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO_FR] * (n - len(a))
-    b = list(b) + [_ZERO_FR] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 @lru_cache(maxsize=None)

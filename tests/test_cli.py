@@ -135,6 +135,14 @@ def test_usage_errors(tmp_path, capsys):
                                   "arrows": 5}))
     assert run(["decompose", "--in", str(module), "--json"]) == 2
     capsys.readouterr()
+    # one arrow matrix per vertex, neither fewer nor more
+    for arrows in ([], [[[]]] * 3):
+        module.write_text(json.dumps({"n": 2, "d": 2, "dims": [1, 1],
+                                      "arrows": arrows}))
+        assert run(["decompose", "--in", str(module), "--json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: need 2 arrow matrices")
+        assert err.count("\n") == 1
     # a module document handed over as an algebra dump
     assert run(["fpdim", "--alg", str(module), "--object", "I(0,1)"]) == 2
     assert capsys.readouterr().err == (
@@ -219,3 +227,43 @@ def test_mutated_dump_keeps_the_exit_contract(position, mutation):
         with open(dump, "w") as fh:
             json.dump(doc, fh)
         assert run(["verify", "--import", dump]) in (0, 1, 2)
+
+
+def _module_doc():
+    from mqg.corep import CycleModule, IntervalModule, direct_sum
+    M = direct_sum([IntervalModule(2, 2, 0, 2).realize(),
+                    IntervalModule(2, 2, 1, 1).realize()])
+    z = root_of_unity(4)
+    arrows = [[[x if x.is_zero() else z for x in row] for row in mat]
+              for mat in M.arrows]
+    return CycleModule(2, 2, M.dims, arrows).to_json()
+
+
+_MODULE = _module_doc()
+
+
+# small numbers only: a module costs n d arrow products at construction
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(position=st.one_of(  # a top-level field half of the time
+           st.sampled_from([(key,) for key in _MODULE]),
+           st.sampled_from(list(_positions(_MODULE)))),
+       mutation=st.one_of(
+           st.tuples(st.just("number"), st.integers(-3, 64)),
+           st.tuples(st.just("drop"), st.none()),
+           st.tuples(st.just("swap"),
+                     st.sampled_from([None, "x", [], {}, 1.5, True]))))
+def test_mutated_module_keeps_the_exit_contract(position, mutation):
+    # one field of a small module document over Q(zeta_4) changed: a
+    # number, a dropped key or item, or a value of another type
+    doc = copy.deepcopy(_MODULE)
+    parent, key = reduce(getitem, position[:-1], doc), position[-1]
+    kind, value = mutation
+    if kind == "drop":
+        del parent[key]
+    else:
+        parent[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        module = os.path.join(tmp, "m.json")
+        with open(module, "w") as fh:
+            json.dump(doc, fh)
+        assert run(["decompose", "--in", module, "--json"]) in (0, 1, 2)

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from mqg.cyclo import CycloNum, cached_mul, root_of_unity
+from mqg.cyclo import (CycloNum, cached_mul, cyclotomic_polynomial,
+                       euler_phi, root_of_unity)
 from mqg.cocycle import CocycleParams, legal_q_values
 from mqg.algebra import MajidAlgebra, classify
 from mqg.corep import (
@@ -20,6 +22,8 @@ from mqg.corep import (
     is_indecomposable,
     parse_interval,
     random_module,
+    _kernel_basis,
+    _rank,
     tensor_consistency_check,
     uniserial_check,
 )
@@ -263,6 +267,8 @@ def test_composite_chain_is_the_naive_fold(M):
             assert all(len(row) == M.dims[i] for row in C)
             assert C == _naive_composite(M, i, k) == chain[k]
             assert M.rank_profile(i, k) == table[i][k]
+        with pytest.raises(ValueError):
+            M.composite_chain(i, d + 1)
 
 
 def test_zero_vertex_composite_shapes():
@@ -303,3 +309,86 @@ def test_composites_keep_the_conductor_of_their_entries():
                 for x in row:
                     assert 16 % x.n == 0, (i, k, x.n)
     assert decompose(M) == {(0, 4): 1}
+
+
+# ---- an independent oracle for the elimination: realified Q-rank --------
+
+
+def _times_zeta(col, N):
+    """Coefficients of zeta_N times the element with coefficients col,
+    reduced modulo Phi_N."""
+    phi = cyclotomic_polynomial(N)
+    top, out = col[-1], [Fraction(0)] + list(col[:-1])
+    return [a - top * b for a, b in zip(out, phi)]
+
+
+def _realify(A, N):
+    """A over Q(zeta_N) as a rational matrix: each entry x becomes the
+    phi(N) x phi(N) matrix of y -> x y on the basis 1, zeta_N, ..."""
+    phi = euler_phi(N)
+    out = []
+    for row in A:
+        blocks = []
+        for x in row:
+            cols = [list(x.lift(N).c)]
+            while len(cols) < phi:
+                cols.append(_times_zeta(cols[-1], N))
+            blocks.append(cols)
+        for a in range(phi):
+            out.append([col[a] for cols in blocks for col in cols])
+    return out
+
+
+def _q_rank(rows):
+    """Rank over Q by plain Gaussian elimination on Fractions."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _oracle_matrices(N, rng):
+    z = root_of_unity(N)
+    one, two = CycloNum.one(), CycloNum.from_rational(2)
+    # non-unit pivots (2, 1 + zeta, zeta + zeta^2) as well as units
+    pool = [CycloNum.zero()] * 3 + [
+        one, two, -z, one + z, z + z * z, z ** 3 - two,
+        CycloNum.from_rational(Fraction(1, 2))]
+    yield [[one + z, two], [two, z + z * z]]
+    for _ in range(8):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        inner = rng.randint(0, min(rows, cols))
+        B = [[rng.choice(pool) for _ in range(inner)] for _ in range(rows)]
+        C = [[rng.choice(pool) for _ in range(cols)] for _ in range(inner)]
+        yield [[sum((B[r][k] * C[k][c] for k in range(inner)), CycloNum.zero())
+                for c in range(cols)] for r in range(rows)]  # rank <= inner
+        yield [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("N", [1, 3, 4, 8, 9, 16])
+def test_rank_and_kernel_match_the_realified_rational_rank(N):
+    phi = euler_phi(N)
+    full = set()
+    for A in _oracle_matrices(N, random.Random(N)):
+        cols = len(A[0])
+        rank = _rank(A, cols)
+        full.add(rank == min(len(A), cols))
+        assert _q_rank(_realify(A, N)) == phi * rank, A
+        kernel = _kernel_basis(A, cols)
+        assert len(kernel) == cols - rank
+        for vec in kernel:
+            for row in A:
+                assert sum((x * y for x, y in zip(row, vec)),
+                           CycloNum.zero()).is_zero()
+        if kernel:
+            assert _q_rank(_realify(kernel, N)) == phi * len(kernel)
+    assert full == {True, False}  # full and deficient ranks both occur

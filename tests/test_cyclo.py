@@ -37,11 +37,26 @@ def test_rational_embedding():
 
 
 def test_inverse():
-    z7 = root_of_unity(7)
-    x = z7**3 + CycloNum.from_rational(2)
-    assert x * x.inverse() == CycloNum.one()
-    with pytest.raises(ZeroDivisionError):
-        CycloNum.zero().inverse()
+    # roots of unity, tagged or not, and rationals invert at their own
+    # conductor; nothing else does
+    invertible = [
+        root_of_unity(8, 3),
+        root_of_unity(12, 1),
+        -root_of_unity(3),                       # -zeta_3, order 6
+        CycloNum(8, [0, 0, 1]),                  # untagged zeta_4
+        CycloNum(9, [0, 0, 0, 0, 0, 0]) + root_of_unity(9, 4),
+        CycloNum.from_rational(Fraction(-2, 3)),
+        CycloNum(8, [Fraction(5, 2)]),           # a rational at conductor 8
+    ]
+    for x in invertible:
+        inv = x.inverse()
+        assert x * inv == CycloNum.one()
+        assert inv.to_json()["conductor"] == x.to_json()["conductor"]
+    for zero in (CycloNum.zero(), CycloNum(5, [0])):
+        with pytest.raises(ZeroDivisionError):
+            zero.inverse()
+    with pytest.raises(ValueError):
+        (root_of_unity(7)**3 + CycloNum.from_rational(2)).inverse()
 
 
 def test_division_and_power():
