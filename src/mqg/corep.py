@@ -10,15 +10,15 @@ each from the one before by a single product with the next arrow
 table and the tensor check read these chains.  All decomposition
 machinery is exact linear algebra over CycloNum with plain products, not
 the global product cache, so every value keeps the conductor of its
-inputs; one division-free Gauss-Jordan routine serves rank and kernel.
-The one floating-point computation is the power iteration inside
-:func:`fp_dimension`, which is always compared against an exact row-sum
-certificate.
+inputs; one Gauss-Jordan routine serves rank and kernel, inverting each
+pivot through its field norm.  The one floating-point computation is
+the power iteration inside :func:`fp_dimension`, which is always
+compared against an exact row-sum certificate.
 """
 from __future__ import annotations
 
 import itertools
-import operator
+import math
 import random
 from dataclasses import dataclass
 
@@ -83,12 +83,28 @@ def _mat_mul(A, B, cols: int):
     return out
 
 
+def _reciprocal(b):
+    """1 / b for nonzero b in Q(zeta_N) through the field norm: b' is the
+    product of the Galois conjugates sigma_k(b), zeta -> zeta^k, over the
+    units k != 1 mod N, so N(b) = b b' is rational and 1 / b = b' / N(b).
+    Only the rational N(b) is inverted."""
+    if b.is_rational():
+        return CycloNum.from_rational(1 / b.as_rational())
+    N, conj = b.n, _ONE
+    for k in range(2, N):
+        if math.gcd(k, N) == 1:
+            out = [0] * N
+            for j, x in enumerate(b.c):
+                out[j * k % N] += x
+            conj = conj * CycloNum(N, out)
+    return conj * CycloNum.from_rational(1 / (b * conj).as_rational())
+
+
 def _row_reduce(rows, cols: int):
-    """Exact Gauss-Jordan elimination without division (fraction-free,
-    as in Bareiss 1968): each other row is cleared by cross-multiplying,
-    R[i] = p R[i] - f R[r] for the pivot p.  Returns (R, pivots): row t
-    of R has the nonzero pivot R[t][pivots[t]], and every other row is
-    zero in column pivots[t]."""
+    """Exact Gauss-Jordan elimination.  Returns (R, pivots): R holds the
+    rows in reduced row-echelon form, row t with its leading one in
+    column pivots[t] for t < len(pivots).  Each entry of R is a ratio of
+    minors of the input, so entries grow like minors."""
     R = [row[:] for row in rows]
     pivots = []
     for c in range(cols):
@@ -100,12 +116,12 @@ def _row_reduce(rows, cols: int):
         if piv is None:
             continue
         R[r], R[piv] = R[piv], R[r]
-        p = R[r][c]
+        inv = _reciprocal(R[r][c])
+        R[r] = [x if x.is_zero() else x * inv for x in R[r]]
         for i, row in enumerate(R):
             f = row[c]
             if i != r and not f.is_zero():
-                R[i] = [p * x - f * y if not y.is_zero()
-                        else x if x.is_zero() else p * x
+                R[i] = [x if y.is_zero() else x - f * y
                         for x, y in zip(row, R[r])]
         pivots.append(c)
     return R, pivots
@@ -117,25 +133,14 @@ def _rank(A, cols: int) -> int:
 
 def _kernel_basis(rows, cols: int):
     """Basis of the kernel of the row system, one vector per free
-    column.  Row t, multiplied by the product of the other pivots, has
-    the common pivot P, the product of all pivots; the vector of a free
-    column is P there and minus that scaled row's entry at each pivot
     column."""
     R, pivots = _row_reduce(rows, cols)
-    heads = [row[pc] for row, pc in zip(R, pivots)]
-    # before[t] and after[t]: the products of the pivots of rows < t and
-    # of rows >= t; row t's factor is the product of the other pivots
-    before = list(itertools.accumulate(heads, operator.mul, initial=_ONE))
-    after = list(itertools.accumulate(reversed(heads), operator.mul,
-                                      initial=_ONE))[::-1]
-    others = [b * a for b, a in zip(before, after[1:])]
     out = []
     for fc in sorted(set(range(cols)) - set(pivots)):
         vec = [_ZERO] * cols
-        vec[fc] = before[-1]
-        for row, pc, o in zip(R, pivots, others):
-            if not row[fc].is_zero():
-                vec[pc] = -(o * row[fc])
+        vec[fc] = _ONE
+        for row, pc in zip(R, pivots):
+            vec[pc] = -row[fc]
         out.append(vec)
     return out
 
@@ -183,17 +188,18 @@ class CycleModule:
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def composite_chain(self, i: int, k: int):
-        """[composite(i, 0), ..., composite(i, k)] for k <= d, as built at
-        construction.  composite(i, t) has shape dims[i+t] x dims[i], also
+    def composite_chain(self, i: int):
+        """[composite(i, 0), ..., composite(i, d)], as built at
+        construction.  composite(i, k) has shape dims[i+k] x dims[i], also
         through zero-dimensional vertices."""
-        if k > self.d:
-            raise ValueError(f"composite length {k} exceeds d = {self.d}")
-        return self._chains[i % self.n][:k + 1]
+        return self._chains[i % self.n]
 
     def composite(self, i: int, k: int):
-        """The composite of k consecutive arrows starting at vertex i."""
-        return self.composite_chain(i, k)[-1]
+        """The composite of k consecutive arrows starting at vertex i,
+        0 <= k <= d."""
+        if not 0 <= k <= self.d:
+            raise ValueError(f"composite length {k} is outside 0..{self.d}")
+        return self._chains[i % self.n][k]
 
     def rank_table(self):
         """r[i][k], the rank of composite(i, k), for every vertex i and
@@ -611,9 +617,9 @@ def tensor_consistency_check(M: MajidAlgebra, X: CycleModule, Y: CycleModule,
     if T is None:
         T = comodule_tensor(M, X, Y)
     blocks, pos = _tensor_index(X, Y)
-    chains_T = [T.composite_chain(v, d) for v in range(n)]
-    chains_X = [X.composite_chain(i, d - 1) for i in range(n)]
-    chains_Y = [Y.composite_chain(j, d - 1) for j in range(n)]
+    chains_T = [T.composite_chain(v) for v in range(n)]
+    chains_X = [X.composite_chain(i) for i in range(n)]
+    chains_Y = [Y.composite_chain(j) for j in range(n)]
     for k in range(d + 1):
         for v in range(n):
             want = _mat(len(blocks[(v + k) % n]), len(blocks[v]))

@@ -24,6 +24,7 @@ from mqg.corep import (
     random_module,
     _kernel_basis,
     _rank,
+    _row_reduce,
     tensor_consistency_check,
     uniserial_check,
 )
@@ -259,7 +260,7 @@ def test_composite_chain_is_the_naive_fold(M):
     n, d = M.n, M.d
     table = M.rank_table()
     for i in range(n):
-        chain = M.composite_chain(i, d)
+        chain = M.composite_chain(i)
         assert len(chain) == d + 1
         for k in range(d + 1):
             C = M.composite(i, k)
@@ -267,8 +268,9 @@ def test_composite_chain_is_the_naive_fold(M):
             assert all(len(row) == M.dims[i] for row in C)
             assert C == _naive_composite(M, i, k) == chain[k]
             assert M.rank_profile(i, k) == table[i][k]
-        with pytest.raises(ValueError):
-            M.composite_chain(i, d + 1)
+        for k in (-1, d + 1):
+            with pytest.raises(ValueError):
+                M.composite(i, k)
 
 
 def test_zero_vertex_composite_shapes():
@@ -392,3 +394,26 @@ def test_rank_and_kernel_match_the_realified_rational_rank(N):
         if kernel:
             assert _q_rank(_realify(kernel, N)) == phi * len(kernel)
     assert full == {True, False}  # full and deficient ranks both occur
+
+
+@pytest.mark.parametrize("N", [1, 4, 9, 16])
+def test_row_reduce_gives_the_reduced_echelon_form(N):
+    # the reduced row echelon form is unique: a nonsingular square matrix
+    # reduces to the identity, whatever its pivots (a routine that never
+    # divides leaves products of pivots there instead, and its entries
+    # double in size with each pivot)
+    rng = random.Random(100 + N)
+    z = root_of_unity(N)
+    one, zero = CycloNum.one(), CycloNum.zero()
+    checked = 0
+    for size in range(1, 11):
+        A = [[z ** rng.randrange(N) + rng.randint(-2, 2)
+              for _ in range(size)] for _ in range(size)]
+        A[rng.randrange(size)][0] = zero  # some need a row swap
+        R, pivots = _row_reduce(A, size)
+        if len(pivots) < size:
+            continue
+        assert R == [[one if a == b else zero for b in range(size)]
+                     for a in range(size)]
+        checked += 1
+    assert checked >= 6
