@@ -515,14 +515,14 @@ def solve_antipode(M: MajidAlgebra) -> dict:
     n, d = M.n, M.d
     engine = _IntegerEngine(M)
     N, E = engine.N, engine.E
-    by_value = {x.c: key for key, x in _signed_roots(N, N).items()}
+    by_value = {x: key for key, x in _signed_roots(N, N).items()}
     c = {(i, 0): (1, 0) for i in range(n)}
     for l in range(1, d):
         for i in range(n):
             # c_{i,l} coef(p(-(i+l),l) p(i,0)) = minus the terms k = 1..l,
             # and that coefficient is zeta_N^E: binom(l, 0) = 1
             acc = _first_sum(engine, c, i, l, range(1, l + 1))
-            hit = by_value.get(CycloNum(N, [-x for x in acc]).c)
+            hit = by_value.get(CycloNum(N, [-x for x in acc]))
             if hit is None:
                 raise StructureError(
                     f"antipode coefficient at degree {l}, vertex {i} is not "
@@ -589,15 +589,12 @@ def _verify_antipode(M: MajidAlgebra, table: dict) -> None:
     engine = _IntegerEngine(M)
     N, phi_e, beta_e = engine.N, engine.phi_e, engine.beta_e
 
-    by_value = {}  # conductor -> {coefficients: (sign, b)}
+    by_value = {x: key for key, x in _signed_roots(N, N).items()}
     c = {}
     for p in M.basis:
         i, l = p.source, p.length
         coeff, target = table[(i, l)]
-        K = lcm(coeff.n, N)
-        if K not in by_value:
-            by_value[K] = {x.c: key for key, x in _signed_roots(N, K).items()}
-        hit = by_value[K].get(coeff.lift(K).c)
+        hit = by_value.get(coeff)
         if hit is None or target != Path(n, -(i + l), l):
             raise StructureError(
                 f"antipode of {p} is not a signed root of unity times "

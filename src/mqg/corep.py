@@ -22,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .cyclo import CycloNum
+from .cyclo import CycloNum, max_conductor
 from .quiver import Path, PathVector
 from .algebra import MajidAlgebra
 
@@ -93,10 +93,7 @@ def _reciprocal(b):
     N, conj = b.n, _ONE
     for k in range(2, N):
         if math.gcd(k, N) == 1:
-            out = [0] * N
-            for j, x in enumerate(b.c):
-                out[j * k % N] += x
-            conj = conj * CycloNum(N, out)
+            conj = conj * b.galois_conjugate(k)
     return conj * CycloNum.from_rational(1 / (b * conj).as_rational())
 
 
@@ -225,7 +222,12 @@ class CycleModule:
     @classmethod
     def from_json(cls, doc: dict) -> "CycleModule":
         """Inverse of to_json; a document of the wrong shape raises
-        ValueError."""
+        ValueError, as does a d outside 1..max_conductor(): the module
+        keeps n (d + 1) composite matrices."""
+        d = doc.get("d") if isinstance(doc, dict) else None
+        if type(d) is not int or not 1 <= d <= max_conductor():
+            raise ValueError(f"malformed module document: d must be an "
+                             f"integer in 1..{max_conductor()}, got {d!r}")
         try:
             arrows = [
                 [[CycloNum.from_json(x) for x in row] for row in mat]

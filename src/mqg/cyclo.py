@@ -1,11 +1,14 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_N).
 
-Every scalar in this package is a :class:`CycloNum`: a polynomial in
-zeta_N with rational coefficients, kept reduced modulo the N-th
-cyclotomic polynomial.  No floating point is used anywhere in this
-module.  Values constructed through :func:`root_of_unity` carry an
-exponent tag, so products and powers of roots of unity are integer
-arithmetic instead of polynomial multiplication.
+Every scalar in this package is a :class:`CycloNum`: an element of
+Q(zeta_N) in integral form (H. Cohen, A Course in Computational
+Algebraic Number Theory, GTM 138, 4.2), phi(N) integer numerators on
+the power basis 1, zeta_N, ..., zeta_N^(phi(N)-1) over one positive
+denominator, in lowest terms.  A sum or product is integer polynomial
+arithmetic reduced modulo the N-th cyclotomic polynomial, then one gcd;
+no floating point is used anywhere in this module.  Values constructed
+through :func:`root_of_unity` carry an exponent tag, so products and
+powers of roots of unity are integer arithmetic on exponents.
 
 The integer engines of the package encode sum_k v_k zeta_N^k as the
 integer vector (v_0, ..., v_{N-1}) modulo x^N - 1; the helpers for that
@@ -110,15 +113,6 @@ def _divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(ds))
 
 
-def _poly_mul_int(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
-
-
 def _poly_divexact_int(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     # b is monic; the division is known to be exact.
     a = list(a)
@@ -135,18 +129,11 @@ def _poly_divexact_int(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, ascending degree, monic."""
-    num: tuple[int, ...] = (1,)
-    dens = []
-    for d in _divisors(n):
-        m = mobius(n // d)
-        xd_minus_1 = tuple([-1] + [0] * (d - 1) + [1])
-        if m == 1:
-            num = _poly_mul_int(num, xd_minus_1)
-        elif m == -1:
-            dens.append(xd_minus_1)
-    for b in dens:
-        num = _poly_divexact_int(num, b)
+    """Integer coefficients of Phi_n, ascending degree, monic: x^n - 1
+    divided by Phi_d for every proper divisor d of n."""
+    num = tuple([-1] + [0] * (n - 1) + [1])
+    for d in _divisors(n)[:-1]:
+        num = _poly_divexact_int(num, cyclotomic_polynomial(d))
     return num
 
 
@@ -158,8 +145,8 @@ def _phi_reduction_data(conductor: int):
 
 
 def _reduce_mod_phi(coeffs, n: int) -> tuple:
-    """Coefficients (Fraction or int, at least phi(n) of them) of a
-    polynomial in zeta_n, reduced modulo Phi_n to exactly phi(n)."""
+    """Coefficients (at least phi(n) of them) of a polynomial in zeta_n,
+    reduced modulo Phi_n to exactly phi(n)."""
     deg, terms = _phi_reduction_data(n)
     c = list(coeffs)
     for i in range(len(c) - 1, deg - 1, -1):
@@ -170,10 +157,6 @@ def _reduce_mod_phi(coeffs, n: int) -> tuple:
     return tuple(c[:deg])
 
 
-_ZERO_FR = Fraction(0)
-_ONE_FR = Fraction(1)
-
-
 @lru_cache(maxsize=None)
 def _trace_zeta(n: int, k: int) -> Fraction:
     # normalized trace of zeta_n^k: Tr / phi(n) = mu(d) / phi(d), d = n / gcd(n, k)
@@ -181,22 +164,44 @@ def _trace_zeta(n: int, k: int) -> Fraction:
     return Fraction(mobius(d), euler_phi(d))
 
 
+def _trace(x: "CycloNum") -> Fraction:
+    """Tr(x) / phi(N), the normalized trace of x at its conductor N."""
+    return Fraction(sum(v * _trace_zeta(x.n, k)
+                        for k, v in enumerate(x.num) if v), x.den)
+
+
+def _shape(num: list, n: int):
+    """Exactly phi(n) integers: num reduced modulo Phi_n, or zero-padded."""
+    phi = euler_phi(n)
+    if len(num) > phi:
+        return _reduce_mod_phi(num, n)
+    return num + [0] * (phi - len(num))
+
+
 class CycloNum:
-    """An element of Q(zeta_N) in canonical reduced form."""
+    """An element of Q(zeta_N): phi(N) integer numerators `num` over one
+    denominator `den` > 0, with gcd(den, num) == 1."""
 
-    __slots__ = ("n", "c", "_h", "_root")
+    __slots__ = ("n", "num", "den", "_h", "_root")
 
-    def __init__(self, conductor: int, coeffs, _root=None):
-        _check_conductor(conductor)
-        phi = euler_phi(conductor)
-        cl = [x if isinstance(x, Fraction) else Fraction(x) if x else _ZERO_FR
-              for x in coeffs]
-        if len(cl) > phi:
-            ct = _reduce_mod_phi(cl, conductor)
-        else:
-            ct = tuple(cl + [_ZERO_FR] * (phi - len(cl)))
+    def __init__(self, conductor: int, coeffs, _root=None, _den=None):
+        # the arithmetic passes _den > 0 with exactly phi(conductor) ints
+        if _den is None:
+            _check_conductor(conductor)
+            coeffs, _den = list(coeffs), 1
+            if not all(type(x) is int for x in coeffs):
+                fr = [Fraction(x) for x in coeffs]
+                _den = math.lcm(*(x.denominator for x in fr))
+                coeffs = [int(x.numerator) * (_den // x.denominator) for x in fr]
+            coeffs = _shape(coeffs, conductor)
+        if _den != 1:
+            g = math.gcd(_den, *coeffs)
+            if g != 1:
+                coeffs = [x // g for x in coeffs]
+                _den //= g
         self.n = conductor
-        self.c = ct
+        self.num = tuple(coeffs)
+        self.den = _den
         self._h = None
         self._root = _root
 
@@ -212,7 +217,8 @@ class CycloNum:
 
     @classmethod
     def from_rational(cls, x) -> "CycloNum":
-        return cls(1, [Fraction(x)])
+        x = Fraction(x)
+        return cls(1, [x.numerator], None, x.denominator)
 
     # ---- conductor handling -------------------------------------------
 
@@ -222,16 +228,11 @@ class CycloNum:
             return self
         if m % self.n != 0:
             raise ValueError(f"cannot lift conductor {self.n} into {m}")
+        _check_conductor(m)
         k = m // self.n
-        out = [_ZERO_FR] * ((len(self.c) - 1) * k + 1)
-        for t, ct in enumerate(self.c):
-            if ct:
-                out[t * k] = ct
-        root = None
-        if self._root:
-            rn, re = self._root
-            root = (rn, re)
-        return CycloNum(m, out, _root=root)
+        out = [0] * ((len(self.num) - 1) * k + 1)
+        out[::k] = self.num
+        return CycloNum(m, _shape(out, m), self._root, self.den)
 
     @staticmethod
     def _unify(a: "CycloNum", b: "CycloNum"):
@@ -241,14 +242,28 @@ class CycloNum:
         _check_conductor(m)
         return a.lift(m), b.lift(m)
 
+    def galois_conjugate(self, k: int) -> "CycloNum":
+        """sigma_k(self), zeta_N -> zeta_N^k at the conductor N of self,
+        for k a unit modulo N."""
+        out = [0] * self.n
+        for j, v in enumerate(self.num):
+            out[j * k % self.n] += v
+        return CycloNum(self.n, _reduce_mod_phi(out, self.n), None, self.den)
+
     # ---- arithmetic ----------------------------------------------------
+
+    def _plus(self, other: "CycloNum", sign: int) -> "CycloNum":
+        a, b = self._unify(self, other)
+        g = math.gcd(a.den, b.den)
+        fa, fb = b.den // g, sign * (a.den // g)
+        return CycloNum(a.n, [x * fa + y * fb for x, y in zip(a.num, b.num)],
+                        None, a.den * fa)
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._unify(self, other)
-        return CycloNum(a.n, [x + y for x, y in zip(a.c, b.c)])
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -256,16 +271,16 @@ class CycloNum:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other._plus(self, -1)
 
     def __neg__(self):
-        return CycloNum(self.n, [-x for x in self.c])
+        return CycloNum(self.n, [-x for x in self.num], None, self.den)
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -277,14 +292,19 @@ class CycloNum:
             m = n1 * n2 // math.gcd(n1, n2)
             if m <= max_conductor():
                 return root_of_unity(m, e1 * (m // n1) + e2 * (m // n2))
+        if self.n == 1 or other.n == 1:
+            # a rational factor scales the numerators of the other
+            r, x = (self, other) if self.n == 1 else (other, self)
+            k = r.num[0]
+            return CycloNum(x.n, [k * v for v in x.num], None, r.den * x.den)
         a, b = self._unify(self, other)
-        out = [_ZERO_FR] * (2 * len(a.c) - 1)
-        for i, ai in enumerate(a.c):
-            if ai:
-                for j, bj in enumerate(b.c):
-                    if bj:
-                        out[i + j] += ai * bj
-        return CycloNum(a.n, out)
+        bs = [(j, y) for j, y in enumerate(b.num) if y]
+        out = [0] * (2 * len(a.num) - 1)
+        for i, x in enumerate(a.num):
+            if x:
+                for j, y in bs:
+                    out[i + j] += x * y
+        return CycloNum(a.n, _reduce_mod_phi(out, a.n), None, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -310,7 +330,9 @@ class CycloNum:
             rn, re = self._root
             return root_of_unity(rn, -re)
         if self.is_rational():
-            return CycloNum(self.n, [1 / self.c[0]])
+            s = 1 if self.num[0] > 0 else -1
+            return CycloNum(self.n, (s * self.den,) + self.num[1:], None,
+                            s * self.num[0])
         root = self.as_root_of_unity()
         if root is None:
             raise ValueError(
@@ -328,8 +350,7 @@ class CycloNum:
         while e:
             if e & 1:
                 result = result * base
-            base_needed = e > 1
-            if base_needed:
+            if e > 1:
                 base = base * base
             e >>= 1
         return result
@@ -337,18 +358,18 @@ class CycloNum:
     # ---- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.c)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_rational(self) -> bool:
-        return not any(self.c[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.c[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycloNum):
@@ -360,35 +381,17 @@ class CycloNum:
             n1, e1 = self._root
             n2, e2 = other._root
             return (e1 * n2 - e2 * n1) % (n1 * n2) == 0
-        if self.n == other.n:
-            return self.c == other.c
         a, b = self._unify(self, other)
-        return a.c == b.c
+        return a.den == b.den and a.num == b.num
 
     def __hash__(self):
         # conductor-independent, like equality: a root of unity hashes by
-        # its reduced (order, exponent), so distinct roots do not collide
-        # (roots are algebraic integers, so a non-integral coefficient
-        # rules one out); any other value hashes by the normalized traces
-        # of a and a^2
+        # its reduced (order, exponent), so distinct roots do not collide;
+        # any other value hashes by the normalized traces of a and a^2
         if self._h is None:
-            integral = self._root or all(ct.denominator == 1 for ct in self.c)
-            root = self.as_root_of_unity() if integral else None
-            if root is not None:
-                self._h = hash(root)
-            else:
-                t1 = sum(
-                    (ct * _trace_zeta(self.n, k)
-                     for k, ct in enumerate(self.c) if ct),
-                    _ZERO_FR,
-                )
-                sq = self * self
-                t2 = sum(
-                    (ct * _trace_zeta(sq.n, k)
-                     for k, ct in enumerate(sq.c) if ct),
-                    _ZERO_FR,
-                )
-                self._h = hash((t1, t2))
+            root = self.as_root_of_unity()
+            self._h = hash(root if root is not None
+                           else (_trace(self), _trace(self * self)))
         return self._h
 
     # ---- root-of-unity structure ----------------------------------------
@@ -406,37 +409,34 @@ class CycloNum:
             re %= rn
             g = math.gcd(rn, re)
             return (rn // g, re // g)
-        return _roots_at(self.n).get(self.c)
+        # roots are algebraic integers, so a denominator rules one out
+        return _roots_at(self.n).get(self.num) if self.den == 1 else None
 
     # ---- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        den = 1
-        for x in self.c:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        return {
-            "conductor": self.n,
-            "num": [int(x * den) for x in self.c],
-            "den": den,
-        }
+        return {"conductor": self.n, "num": list(self.num), "den": self.den}
 
     @classmethod
     def from_json(cls, obj: dict) -> "CycloNum":
-        den = obj["den"]
-        return cls(obj["conductor"], [Fraction(v, den) for v in obj["num"]])
+        num, den = list(obj["num"]), obj["den"]
+        if type(den) is not int or not all(type(v) is int for v in num):
+            raise TypeError("num and den must be integers")
+        return cls(obj["conductor"], num) * Fraction(1, den)
 
     # ---- display -----------------------------------------------------------
 
     def __repr__(self):
-        return f"CycloNum({self.n}, {[str(x) for x in self.c]})"
+        return f"CycloNum({self.n}, {[str(Fraction(v, self.den)) for v in self.num]})"
 
     def __str__(self):
         if self.is_zero():
             return "0"
         parts = []
-        for k, ct in enumerate(self.c):
-            if not ct:
+        for k, v in enumerate(self.num):
+            if not v:
                 continue
+            ct = Fraction(v, self.den)
             if k == 0:
                 parts.append(str(ct))
             else:
@@ -449,7 +449,7 @@ def _coerce(x):
     if isinstance(x, CycloNum):
         return x
     if isinstance(x, (int, Fraction)):
-        return CycloNum(1, [Fraction(x)])
+        return CycloNum(1, [x.numerator], None, x.denominator)
     return NotImplemented
 
 
@@ -458,21 +458,20 @@ def root_of_unity(n: int, e: int = 1) -> CycloNum:
     """zeta_n^e as a CycloNum at conductor n."""
     _check_conductor(n)
     e %= n
-    coeffs = [_ZERO_FR] * e + [_ONE_FR]
-    return CycloNum(n, coeffs, _root=(n, e))
+    return CycloNum(n, [0] * e + [1], _root=(n, e))
 
 
 @lru_cache(maxsize=None)
 def _roots_at(n: int) -> dict:
     """Every root of unity of Q(zeta_n), zeta_m^f with m = lcm(2, n): its
-    reduced coefficients at conductor n -> its reduced (order, exponent)."""
+    reduced numerators at conductor n -> its reduced (order, exponent)."""
     m = n if n % 2 == 0 else 2 * n
     out = {}
     for f in range(m):
         if m == n or f % 2 == 0:
-            c = root_of_unity(n, f * n // m).c
+            c = root_of_unity(n, f * n // m).num
         else:  # zeta_2n^f = -zeta_n^((f + n) / 2) for odd n and f
-            c = tuple(-x for x in root_of_unity(n, (f + n) // 2).c)
+            c = tuple(-x for x in root_of_unity(n, (f + n) // 2).num)
         g = math.gcd(m, f)
         out[c] = (m // g, f // g)
     return out

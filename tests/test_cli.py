@@ -143,6 +143,15 @@ def test_usage_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: need 2 arrow matrices")
         assert err.count("\n") == 1
+    # d is bounded before anything is built: a module keeps n (d + 1)
+    # matrices, so a huge d would exhaust memory
+    for d in (200000, 0):
+        module.write_text(json.dumps({"n": 2, "d": d, "dims": [0, 0],
+                                      "arrows": [[], []]}))
+        assert run(["decompose", "--in", str(module), "--json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed module document: d must be")
+        assert err.count("\n") == 1
     # a module document handed over as an algebra dump
     assert run(["fpdim", "--alg", str(module), "--object", "I(0,1)"]) == 2
     assert capsys.readouterr().err == (

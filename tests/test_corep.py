@@ -332,7 +332,8 @@ def _realify(A, N):
     for row in A:
         blocks = []
         for x in row:
-            cols = [list(x.lift(N).c)]
+            doc = x.lift(N).to_json()
+            cols = [[Fraction(v, doc["den"]) for v in doc["num"]]]
             while len(cols) < phi:
                 cols.append(_times_zeta(cols[-1], N))
             blocks.append(cols)

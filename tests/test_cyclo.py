@@ -1,6 +1,9 @@
+import ast
 import math
 import os
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,7 @@ from mqg.cyclo import (
     ConductorLimitError,
     CycloNum,
     InvalidConductorError,
+    _reduce_mod_phi,
     cyclotomic_polynomial,
     euler_phi,
     int_vec_zero_mod_phi,
@@ -97,7 +101,7 @@ def test_equal_values_hash_equally():
     for x in values:
         for k in (2, 3, 4):
             y = x.lift(x.n * k)
-            untagged = CycloNum(y.n, y.c)
+            untagged = CycloNum.from_json(y.to_json())
             assert y == x == untagged
             assert hash(y) == hash(x) == hash(untagged)
     # the same non-root value reached at two conductors by arithmetic
@@ -112,7 +116,8 @@ def test_roots_of_unity_hash_apart():
     tagged = [root_of_unity(144, e) for e in range(144)]
     assert len({hash(z) for z in tagged}) == 144
     for e in range(0, 144, 7):
-        assert hash(CycloNum(144, tagged[e].c)) == hash(tagged[e])
+        untagged = CycloNum.from_json(tagged[e].to_json())
+        assert hash(untagged) == hash(tagged[e])
     for k in (1, 2, 3, 4, 6, 8, 9, 12, 16, 18, 24, 36, 48, 72):
         for e in range(k):
             assert hash(root_of_unity(k, e)) == hash(tagged[e * (144 // k)])
@@ -167,6 +172,105 @@ def test_json_round_trip():
     assert set(doc) == {"conductor", "num", "den"}
     assert CycloNum.from_json(doc) == x
     assert CycloNum.from_json(doc).to_json() == doc
+
+
+def _fractions(x):
+    """The coefficients of x as Fractions, read from its JSON form."""
+    doc = x.to_json()
+    return [Fraction(v, doc["den"]) for v in doc["num"]]
+
+
+def _ref_lift(c, n, m):
+    """Fraction coefficients at conductor n, embedded at conductor m."""
+    k = m // n
+    out = [Fraction(0)] * max(euler_phi(m), (len(c) - 1) * k + 1)
+    for t, v in enumerate(c):
+        out[t * k] = v
+    return list(_reduce_mod_phi(out, m))
+
+
+def _ref_mul(a, b, m):
+    """Polynomial product of two Fraction vectors at conductor m,
+    reduced modulo Phi_m."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return list(_reduce_mod_phi(out, m))
+
+
+def _lcm_to_json(n, c):
+    """The JSON form of Fraction coefficients c at conductor n: the
+    numerators over the lcm of their denominators."""
+    den = math.lcm(*(x.denominator for x in c))
+    return {"conductor": n, "num": [int(x * den) for x in c], "den": den}
+
+
+def _assert_integral_form(x):
+    assert len(x.num) == euler_phi(x.n)
+    assert type(x.den) is int and all(type(v) is int for v in x.num)
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+    assert x.is_zero() == (not any(x.num))
+    assert any(x.num) or x.den == 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_integral_form_agrees_with_a_fraction_oracle(seed):
+    # sums, differences, products, lifts, rational inverses and equality
+    # across conductors against plain Fraction coefficient vectors
+    rng = random.Random(seed)
+    dens = (1, 1, 2, 3, 4, 6, 9, 12, 35)
+
+    def draw():
+        n = rng.choice((1, 3, 4, 8, 9, 12, 16))
+        phi, kind = euler_phi(n), rng.random()
+        c = [Fraction(rng.randint(-9, 9), rng.choice(dens))
+             if rng.random() < 0.7 else Fraction(0) for _ in range(phi)]
+        if kind < 0.1:
+            c = [Fraction(0)] * phi
+        elif kind < 0.3:
+            c[1:] = [Fraction(0)] * (phi - 1)
+        x = CycloNum(n, c)
+        _assert_integral_form(x)
+        assert x.to_json() == _lcm_to_json(n, c)
+        return n, c, x
+
+    for _ in range(60):
+        (n1, a, x), (n2, b, y) = draw(), draw()
+        m = math.lcm(n1, n2)
+        A, B = _ref_lift(a, n1, m), _ref_lift(b, n2, m)
+        for got, want in ((x + y, [p + q for p, q in zip(A, B)]),
+                          (x - y, [p - q for p, q in zip(A, B)]),
+                          (x * y, _ref_mul(A, B, m)),
+                          (x.lift(m), A)):
+            _assert_integral_form(got)
+            assert got.n == m and _fractions(got) == want
+            assert got.to_json() == _lcm_to_json(m, want)
+        assert (x == y) == (A == B)
+        assert x == CycloNum(m, A) and CycloNum(m, A) == x
+        assert x != CycloNum(m, A) + CycloNum(m, [0, Fraction(1, 7)])
+        if x.is_rational() and not x.is_zero():
+            inv = x.inverse()
+            _assert_integral_form(inv)
+            assert inv.n == n1
+            assert _fractions(inv) == [1 / a[0]] + [Fraction(0)] * (len(a) - 1)
+
+
+def test_only_cyclo_knows_the_scalar_representation():
+    # one scalar representation: no other module imports Fraction or
+    # reads a CycloNum's coefficient storage
+    src = Path(__file__).resolve().parents[1] / "src" / "mqg"
+    for path in sorted(src.glob("*.py")):
+        if path.name == "cyclo.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                assert node.module != "fractions", path.name
+            elif isinstance(node, ast.Import):
+                assert all(a.name != "fractions" for a in node.names), path.name
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in ("num", "den", "c"), \
+                    f"{path.name}:{node.lineno} reads .{node.attr}"
 
 
 def test_invalid_and_capped_conductor(monkeypatch):
