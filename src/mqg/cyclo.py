@@ -113,6 +113,15 @@ def _divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(ds))
 
 
+def _poly_mul_int(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return tuple(out)
+
+
 def _poly_divexact_int(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     # b is monic; the division is known to be exact.
     a = list(a)
@@ -129,11 +138,18 @@ def _poly_divexact_int(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, ascending degree, monic: x^n - 1
-    divided by Phi_d for every proper divisor d of n."""
-    num = tuple([-1] + [0] * (n - 1) + [1])
-    for d in _divisors(n)[:-1]:
-        num = _poly_divexact_int(num, cyclotomic_polynomial(d))
+    """Integer coefficients of Phi_n, ascending degree, monic."""
+    num: tuple[int, ...] = (1,)
+    dens = []
+    for d in _divisors(n):
+        m = mobius(n // d)
+        xd_minus_1 = tuple([-1] + [0] * (d - 1) + [1])
+        if m == 1:
+            num = _poly_mul_int(num, xd_minus_1)
+        elif m == -1:
+            dens.append(xd_minus_1)
+    for b in dens:
+        num = _poly_divexact_int(num, b)
     return num
 
 
@@ -170,14 +186,6 @@ def _trace(x: "CycloNum") -> Fraction:
                         for k, v in enumerate(x.num) if v), x.den)
 
 
-def _shape(num: list, n: int):
-    """Exactly phi(n) integers: num reduced modulo Phi_n, or zero-padded."""
-    phi = euler_phi(n)
-    if len(num) > phi:
-        return _reduce_mod_phi(num, n)
-    return num + [0] * (phi - len(num))
-
-
 class CycloNum:
     """An element of Q(zeta_N): phi(N) integer numerators `num` over one
     denominator `den` > 0, with gcd(den, num) == 1."""
@@ -192,8 +200,9 @@ class CycloNum:
             if not all(type(x) is int for x in coeffs):
                 fr = [Fraction(x) for x in coeffs]
                 _den = math.lcm(*(x.denominator for x in fr))
-                coeffs = [int(x.numerator) * (_den // x.denominator) for x in fr]
-            coeffs = _shape(coeffs, conductor)
+                coeffs = [int(x * _den) for x in fr]
+            coeffs = _reduce_mod_phi(coeffs + [0] * euler_phi(conductor),
+                                     conductor)
         if _den != 1:
             g = math.gcd(_den, *coeffs)
             if g != 1:
@@ -217,8 +226,7 @@ class CycloNum:
 
     @classmethod
     def from_rational(cls, x) -> "CycloNum":
-        x = Fraction(x)
-        return cls(1, [x.numerator], None, x.denominator)
+        return _coerce(Fraction(x))
 
     # ---- conductor handling -------------------------------------------
 
@@ -230,9 +238,10 @@ class CycloNum:
             raise ValueError(f"cannot lift conductor {self.n} into {m}")
         _check_conductor(m)
         k = m // self.n
-        out = [0] * ((len(self.num) - 1) * k + 1)
-        out[::k] = self.num
-        return CycloNum(m, _shape(out, m), self._root, self.den)
+        out = [0] * max(euler_phi(m), (len(self.num) - 1) * k + 1)
+        for t, v in enumerate(self.num):
+            out[t * k] = v
+        return CycloNum(m, _reduce_mod_phi(out, m), self._root, self.den)
 
     @staticmethod
     def _unify(a: "CycloNum", b: "CycloNum"):
@@ -252,7 +261,10 @@ class CycloNum:
 
     # ---- arithmetic ----------------------------------------------------
 
-    def _plus(self, other: "CycloNum", sign: int) -> "CycloNum":
+    def _plus(self, other, sign: int):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         a, b = self._unify(self, other)
         g = math.gcd(a.den, b.den)
         fa, fb = b.den // g, sign * (a.den // g)
@@ -260,24 +272,15 @@ class CycloNum:
                         None, a.den * fa)
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self._plus(other, -1)
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other._plus(self, -1)
+        return (-self)._plus(other, 1)
 
     def __neg__(self):
         return CycloNum(self.n, [-x for x in self.num], None, self.den)
@@ -330,9 +333,7 @@ class CycloNum:
             rn, re = self._root
             return root_of_unity(rn, -re)
         if self.is_rational():
-            s = 1 if self.num[0] > 0 else -1
-            return CycloNum(self.n, (s * self.den,) + self.num[1:], None,
-                            s * self.num[0])
+            return CycloNum(self.n, [Fraction(self.den, self.num[0])])
         root = self.as_root_of_unity()
         if root is None:
             raise ValueError(
