@@ -1,82 +1,106 @@
 """Exact construction and verification of the finite-dimensional pointed
 Majid algebras M(n, s, q) on the cyclic quiver, together with their
-corepresentation categories."""
+corepresentation categories.
 
-from .cyclo import (
-    ConductorLimitError,
-    CycloNum,
-    InvalidConductorError,
-    euler_phi,
-    max_conductor,
-    root_of_unity,
-)
-from .quiver import (
-    FiniteGroup,
-    Path,
-    PathVector,
-    Quiver,
-    RamificationDatum,
-    comultiply,
-    counit,
-    hopf_quiver,
-    is_connected,
-    parse_path,
-    thin_splits,
-)
-from .cocycle import (
-    CocycleParams,
-    OneDimModule,
-    action_scalar,
-    legal_q_values,
-    one_dim_modules,
-    pentagon_check,
-    pentagon_report,
-    phi,
-    phi_exponent,
-    sigma,
-    sigma_check,
-    sigma_report,
-    twisted_power,
-    twisted_product_scalar,
-)
-from .bimodule import ArrowBimodule, build_bimodule, quasi_axiom_check
-from .shuffle import CrossCheckReport, QuiverAlgebra, gauss_binomial_poly
-# corep before algebra: corep imports algebra before numpy, so the code of
-# every module is loaded before numpy is; loading it after numpy raised
-# the peak memory of a process by about 2 MB
-from .corep import (
-    CycleModule,
-    FusionData,
-    IntervalModule,
-    NotAComoduleError,
-    brute_force_decompose,
-    brute_force_indecomposables,
-    comodule_tensor,
-    decompose,
-    direct_sum,
-    fp_dimension,
-    fusion_data,
-    hom_dim,
-    indecomposables,
-    is_indecomposable,
-    random_module,
-    tensor_consistency_check,
-    uniserial_check,
-)
-from .algebra import (
-    ClassificationEntry,
-    MajidAlgebra,
-    StructureError,
-    TruncationError,
-    admissible_truncations,
-    build,
-    build_truncated,
-    classify,
-    export_algebra,
-    generation_check,
-    import_algebra,
-    solve_antipode,
-    verify_quasi_bialgebra,
-)
+The package namespace is lazy (PEP 562): `import mqg` loads no layer, and
+the first use of an exported name, as `mqg.X` or `from mqg import X`,
+imports the one submodule that defines it.  numpy arrives only with
+mqg.algebra and inside mqg.corep.fp_dimension.
+"""
+import importlib
 
 __version__ = "1.0.0"
+
+# submodule -> the public names the package exports from it
+_EXPORTS = {
+    "cyclo": (
+        "ConductorLimitError",
+        "CycloNum",
+        "InvalidConductorError",
+        "StructureError",
+        "euler_phi",
+        "max_conductor",
+        "root_of_unity",
+    ),
+    "quiver": (
+        "FiniteGroup",
+        "Path",
+        "PathVector",
+        "Quiver",
+        "RamificationDatum",
+        "comultiply",
+        "counit",
+        "hopf_quiver",
+        "is_connected",
+        "parse_path",
+        "thin_splits",
+    ),
+    "cocycle": (
+        "CocycleParams",
+        "OneDimModule",
+        "action_scalar",
+        "legal_q_values",
+        "one_dim_modules",
+        "pentagon_check",
+        "pentagon_report",
+        "phi",
+        "phi_exponent",
+        "sigma",
+        "sigma_check",
+        "sigma_report",
+        "twisted_power",
+        "twisted_product_scalar",
+    ),
+    "bimodule": ("ArrowBimodule", "build_bimodule", "quasi_axiom_check"),
+    "shuffle": ("CrossCheckReport", "QuiverAlgebra", "gauss_binomial_poly"),
+    "corep": (
+        "CycleModule",
+        "FusionData",
+        "IntervalModule",
+        "NotAComoduleError",
+        "brute_force_decompose",
+        "brute_force_indecomposables",
+        "comodule_tensor",
+        "decompose",
+        "direct_sum",
+        "fp_dimension",
+        "fusion_data",
+        "hom_dim",
+        "indecomposables",
+        "is_indecomposable",
+        "random_module",
+        "tensor_consistency_check",
+        "uniserial_check",
+    ),
+    "algebra": (
+        "ClassificationEntry",
+        "MajidAlgebra",
+        "TruncationError",
+        "admissible_truncations",
+        "build",
+        "build_truncated",
+        "classify",
+        "export_algebra",
+        "generation_check",
+        "import_algebra",
+        "solve_antipode",
+        "verify_quasi_bialgebra",
+    ),
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a layer read as an attribute, e.g. mqg.corep
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_MODULE_OF[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return __all__

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from functools import partial
 from math import gcd, lcm
 
-import numpy as np
-
 from .cyclo import (
     CycloNum,
+    StructureError,
     _reduce_mod_phi,
     int_vec_zero_mod_phi,
     root_exponent,
@@ -36,6 +35,8 @@ from .cocycle import (
 from .quiver import Path, PathVector, comultiply, parse_path
 from .shuffle import QuiverAlgebra, _binomial_buckets, _product_exponent
 
+import numpy as np
+
 __all__ = [
     "MajidAlgebra",
     "ClassificationEntry",
@@ -50,11 +51,6 @@ __all__ = [
     "export_algebra",
     "import_algebra",
 ]
-
-
-class StructureError(RuntimeError):
-    """The multiplication table is internally inconsistent (no antipode,
-    broken closure, or a failed re-import)."""
 
 
 class TruncationError(ValueError):

@@ -15,27 +15,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .cyclo import ConductorLimitError, max_conductor, root_of_unity
-from .cocycle import CocycleParams, pentagon_report, q_conductor, sigma_report
-from .quiver import parse_path
-from .algebra import (
-    MajidAlgebra,
-    classify,
-    export_algebra,
-    import_algebra,
-    solve_antipode,
-    verify_quasi_bialgebra,
-    StructureError,
-)
-from . import corep
+# the layers are imported by the commands that use them, so a process
+# loads only what its command needs; cyclo is enough for run() itself
+from .cyclo import (ConductorLimitError, StructureError, max_conductor,
+                    root_of_unity)
+
+if TYPE_CHECKING:
+    from .algebra import MajidAlgebra
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
 def _build_from_args(args) -> MajidAlgebra:
+    from .cocycle import q_conductor
+
+    # q first: a conductor above the bound exits before algebra loads
     q = root_of_unity(q_conductor(args.n, args.s), args.q_exp)
+    from .algebra import MajidAlgebra
+
     return MajidAlgebra.build(args.n, args.s, q)
 
 
@@ -47,6 +47,8 @@ def _emit(args, doc: dict, human: str) -> None:
 
 
 def cmd_classify(args) -> int:
+    from .algebra import classify
+
     entries = classify(args.n)
     if args.json:
         print(json.dumps([e.to_json() for e in entries], sort_keys=True))
@@ -63,6 +65,8 @@ def cmd_classify(args) -> int:
 def cmd_build(args) -> int:
     M = _build_from_args(args)
     if args.export:
+        from .algebra import export_algebra
+
         with open(args.export, "w") as fh:
             fh.write(export_algebra(M, "json"))
     _emit(args, {"n": M.n, "s": M.s, "d": M.d, "dim": M.dim},
@@ -71,6 +75,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .algebra import (import_algebra, solve_antipode,
+                          verify_quasi_bialgebra)
+
     if args.import_file:
         try:
             with open(args.import_file) as fh:
@@ -100,6 +107,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_product(args) -> int:
+    from .quiver import parse_path
+
     M = _build_from_args(args)
     a = parse_path(args.left, M.n)
     b = parse_path(args.right, M.n)
@@ -112,6 +121,8 @@ def cmd_product(args) -> int:
 
 
 def cmd_cocycle(args) -> int:
+    from .cocycle import CocycleParams, pentagon_report, sigma_report
+
     params = CocycleParams.standard(args.n, args.s)
     report = {"passed": True}
     if args.check in ("pentagon", "all"):
@@ -128,6 +139,8 @@ def cmd_cocycle(args) -> int:
 
 
 def cmd_indec(args) -> int:
+    from . import corep
+
     mods = corep.indecomposables(args.n, args.d)
     if args.json:
         print(json.dumps(
@@ -142,6 +155,8 @@ def cmd_indec(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import corep
+
     with open(args.in_file) as fh:
         doc = json.load(fh)
     try:
@@ -159,11 +174,15 @@ def cmd_decompose(args) -> int:
 
 
 def _load_algebra(path: str) -> MajidAlgebra:
+    from .algebra import import_algebra
+
     with open(path) as fh:
         return import_algebra(fh.read())
 
 
 def cmd_tensor(args) -> int:
+    from . import corep
+
     M = _load_algebra(args.alg)
     left = corep.parse_interval(args.left, M.n, M.d).realize()
     right = corep.parse_interval(args.right, M.n, M.d).realize()
@@ -177,6 +196,8 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_fpdim(args) -> int:
+    from . import corep
+
     M = _load_algebra(args.alg)
     I = corep.parse_interval(args.object, M.n, M.d)
     F = corep.fusion_data(M)
@@ -187,6 +208,8 @@ def cmd_fpdim(args) -> int:
 
 
 def cmd_export(args) -> int:
+    from .algebra import export_algebra
+
     M = _build_from_args(args)
     text = export_algebra(M, "json")
     if args.out:

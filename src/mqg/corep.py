@@ -21,12 +21,13 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .cyclo import CycloNum, max_conductor
 from .quiver import Path, PathVector
-from .algebra import MajidAlgebra
 
-import numpy as np  # after algebra: see the import order in mqg/__init__.py
+if TYPE_CHECKING:
+    from .algebra import MajidAlgebra
 
 __all__ = [
     "CycleModule",
@@ -89,12 +90,12 @@ def _reciprocal(b):
     units k != 1 mod N, so N(b) = b b' is rational and 1 / b = b' / N(b).
     Only the rational N(b) is inverted."""
     if b.is_rational():
-        return CycloNum.from_rational(1 / b.as_rational())
+        return b.rational_inverse()
     N, conj = b.n, _ONE
     for k in range(2, N):
         if math.gcd(k, N) == 1:
             conj = conj * b.galois_conjugate(k)
-    return conj * CycloNum.from_rational(1 / (b * conj).as_rational())
+    return conj * (b * conj).rational_inverse()
 
 
 def _row_reduce(rows, cols: int):
@@ -699,7 +700,10 @@ def fp_dimension(F: FusionData, cls_vector):
     n = F.n
     if all(x == 0 for row in mat for x in row):
         return 0.0, 0
-    # power iteration (the single floating-point computation)
+    # power iteration (the single floating-point computation); numpy is
+    # imported here, the one place outside mqg.algebra that needs it
+    import numpy as np
+
     A = np.array(mat, dtype=float)
     v = np.ones(n) / n
     value = 0.0

@@ -25,6 +25,7 @@ __all__ = [
     "CycloNum",
     "InvalidConductorError",
     "ConductorLimitError",
+    "StructureError",
     "root_of_unity",
     "cached_mul",
     "euler_phi",
@@ -42,6 +43,12 @@ class InvalidConductorError(ValueError):
 
 class ConductorLimitError(RuntimeError):
     """Conductor exceeds the configured bound (MQG_MAX_CONDUCTOR)."""
+
+
+class StructureError(RuntimeError):
+    """The multiplication table is internally inconsistent (no antipode,
+    broken closure, or a failed re-import).  Raised by mqg.algebra, which
+    re-exports it; defined here so that catching it loads no other layer."""
 
 
 def max_conductor() -> int:
@@ -333,12 +340,22 @@ class CycloNum:
             rn, re = self._root
             return root_of_unity(rn, -re)
         if self.is_rational():
-            return CycloNum(self.n, [Fraction(self.den, self.num[0])])
+            return self.rational_inverse().lift(self.n)
         root = self.as_root_of_unity()
         if root is None:
             raise ValueError(
                 f"{self!r} is neither a root of unity nor a rational")
         return self ** (root[0] - 1)
+
+    def rational_inverse(self) -> "CycloNum":
+        """1 / self at conductor 1, for a nonzero rational self: numerator
+        and denominator swapped, the sign kept on the numerator."""
+        if self.is_zero():
+            raise ZeroDivisionError("division by zero in Q(zeta)")
+        if not self.is_rational():
+            raise ValueError(f"{self!r} is not rational")
+        k = self.num[0]
+        return CycloNum(1, [self.den if k > 0 else -self.den], None, abs(k))
 
     def __pow__(self, e: int) -> "CycloNum":
         if self._root:
@@ -366,11 +383,6 @@ class CycloNum:
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycloNum):

@@ -276,3 +276,70 @@ def test_mutated_module_keeps_the_exit_contract(position, mutation):
         with open(module, "w") as fh:
             json.dump(doc, fh)
         assert run(["decompose", "--in", module, "--json"]) in (0, 1, 2)
+
+
+
+
+# what each subcommand accepts: for each option, values of the right kind
+# and values of the wrong kind; <...> stand for files in the
+# test's directory.  Small integers only: an n = 4 family takes a second
+# to verify.
+def _values(right, wrong):  # each right value weighs three
+    return st.sampled_from(right * 3 + wrong)
+
+
+_INT = _values(["1", "2", "3"], ["-2", "0", "x", ""])
+_PATH = _values(["p(0,1)", "p(1,1)", "p(1,2)"], ["p(0,3)", "p(9,1)", "x"])
+_INTERVAL = _values(["I(0,1)", "I(1,2)"], ["I(0,9)", "I(x)", "x"])
+_FILE = {kind: _values([f"<{kind}>"], ["<dir>", "<missing>", other])
+         for kind, other in (("dump", "<module>"), ("module", "<dump>"))}
+_OUT = _values(["<out>"], ["<dir>", "<dump>"])
+_FAMILY = {"--n": _INT, "--s": _INT, "--q-exp": _INT}
+_OPTIONS = {
+    "classify": {"--n": _INT},
+    "build": {**_FAMILY, "--export": _OUT},
+    "verify": {**_FAMILY, "--import": _FILE["dump"], "--suite": _values(
+        ["bialgebra", "antipode", "all"], ["x"])},
+    "product": _FAMILY,
+    "cocycle": {"--n": _INT, "--s": _INT, "--check": _values(
+        ["pentagon", "sigma", "all"], ["x"])},
+    "indec": {"--n": _INT, "--d": _INT},
+    "decompose": {"--in": _FILE["module"]},
+    "tensor": {"--alg": _FILE["dump"], "--left": _INTERVAL,
+               "--right": _INTERVAL},
+    "fpdim": {"--alg": _FILE["dump"], "--object": _INTERVAL},
+    "export": {**_FAMILY, "--out": _OUT},
+}
+_STRAY = st.sampled_from(["--json", "--n", "--bogus", "x", "-1"])
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(command=st.sampled_from(sorted(_OPTIONS)), data=st.data())
+def test_argv_keeps_the_exit_contract(argv_dir, command, data):
+    # each option present (four times in five) or absent, with a value of
+    # either kind, then the positionals of `product`, --json and, one
+    # time in four, a stray token;
+    # the inputs are written afresh, since --out and --export may
+    # overwrite them
+    files = {"<dump>": argv_dir / "alg.json",
+             "<module>": argv_dir / "mod.json", "<out>": argv_dir / "out.json",
+             "<dir>": argv_dir, "<missing>": argv_dir / "missing.json"}
+    files["<dump>"].write_text(json.dumps(_DUMP))
+    files["<module>"].write_text(json.dumps(_MODULE))
+    argv = [command]
+    for flag, values in _OPTIONS[command].items():
+        if data.draw(st.integers(0, 4), label=f"{flag} absent") < 4:
+            argv += [flag, data.draw(values, label=flag)]
+    if command == "product":
+        argv += data.draw(st.lists(_PATH, min_size=1, max_size=3),
+                          label="paths")
+    if data.draw(st.booleans(), label="--json"):
+        argv.append("--json")
+    if data.draw(st.integers(0, 3), label="stray present") == 3:
+        argv.append(data.draw(_STRAY, label="stray"))
+    assert run([str(files.get(a, a)) for a in argv]) in (0, 1, 2)

@@ -216,8 +216,9 @@ def _assert_integral_form(x):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_integral_form_agrees_with_a_fraction_oracle(seed):
-    # sums, differences, products, lifts, rational inverses and equality
-    # across conductors against plain Fraction coefficient vectors
+    # sums, differences, products, lifts, rational inverses (at the
+    # conductor of the value and at conductor 1) and equality across
+    # conductors against plain Fraction coefficient vectors
     rng = random.Random(seed)
     dens = (1, 1, 2, 3, 4, 6, 9, 12, 35)
 
@@ -254,6 +255,14 @@ def test_integral_form_agrees_with_a_fraction_oracle(seed):
             _assert_integral_form(inv)
             assert inv.n == n1
             assert _fractions(inv) == [1 / a[0]] + [Fraction(0)] * (len(a) - 1)
+            rinv = x.rational_inverse()  # the same value at conductor 1
+            _assert_integral_form(rinv)
+            assert rinv.n == 1 and _fractions(rinv) == [1 / a[0]]
+            assert rinv.to_json() == _lcm_to_json(1, [1 / a[0]])
+        else:
+            with pytest.raises(ZeroDivisionError if x.is_zero()
+                               else ValueError):
+                x.rational_inverse()
 
 
 def test_only_cyclo_knows_the_scalar_representation():

@@ -1,0 +1,151 @@
+"""Which layers each entry point loads.  `import mqg` loads none, `import
+mqg.cli` loads cyclo only, and the commands that need no algebra never
+load numpy.  Checked in fresh interpreters, since this process has
+imported everything already."""
+import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mqg
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the names `mqg` exported when every layer was imported eagerly, by the
+# layer they were imported from
+EXPORTS = {
+    "cyclo": ["ConductorLimitError", "CycloNum", "InvalidConductorError",
+              "euler_phi", "max_conductor", "root_of_unity"],
+    "quiver": ["FiniteGroup", "Path", "PathVector", "Quiver",
+               "RamificationDatum", "comultiply", "counit", "hopf_quiver",
+               "is_connected", "parse_path", "thin_splits"],
+    "cocycle": ["CocycleParams", "OneDimModule", "action_scalar",
+                "legal_q_values", "one_dim_modules", "pentagon_check",
+                "pentagon_report", "phi", "phi_exponent", "sigma",
+                "sigma_check", "sigma_report", "twisted_power",
+                "twisted_product_scalar"],
+    "bimodule": ["ArrowBimodule", "build_bimodule", "quasi_axiom_check"],
+    "shuffle": ["CrossCheckReport", "QuiverAlgebra", "gauss_binomial_poly"],
+    "corep": ["CycleModule", "FusionData", "IntervalModule",
+              "NotAComoduleError", "brute_force_decompose",
+              "brute_force_indecomposables", "comodule_tensor", "decompose",
+              "direct_sum", "fp_dimension", "fusion_data", "hom_dim",
+              "indecomposables", "is_indecomposable", "random_module",
+              "tensor_consistency_check", "uniserial_check"],
+    "algebra": ["ClassificationEntry", "MajidAlgebra", "StructureError",
+                "TruncationError", "admissible_truncations", "build",
+                "build_truncated", "classify", "export_algebra",
+                "generation_check", "import_algebra", "solve_antipode",
+                "verify_quasi_bialgebra"],
+}
+
+
+def _fresh(code: str):
+    """Run `code` in a fresh interpreter; it prints one JSON value."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _added_by(statement: str) -> set:
+    return set(_fresh(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        f"{statement}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"))
+
+
+def test_import_mqg_loads_no_layer():
+    added = _added_by("import mqg")
+    assert [m for m in added if m.startswith("mqg.")] == []
+    assert "numpy" not in added
+
+
+def test_import_cli_loads_only_cyclo():
+    added = _added_by("import mqg.cli")
+    assert {m for m in added if m.split(".")[0] == "mqg"} == {
+        "mqg", "mqg.cli", "mqg.cyclo"}
+    assert "numpy" not in added
+
+
+def _module_file(tmp_path):
+    from mqg.corep import IntervalModule, direct_sum
+    M = direct_sum([IntervalModule(2, 4, 0, 2).realize(),
+                    IntervalModule(2, 4, 1, 1).realize()])
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(M.to_json()))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["cocycle", "--n", "6", "--s", "1"], 0),
+    (["indec", "--n", "3", "--d", "3", "--json"], 0),
+    (["decompose", "--in", None, "--json"], 0),
+    # the conductor 120^2 is refused before mqg.algebra is imported
+    (["build", "--n", "120", "--s", "1", "--q-exp", "1", "--json"], 2),
+])
+def test_commands_without_an_algebra_leave_numpy_unloaded(argv, code,
+                                                          tmp_path):
+    argv = [_module_file(tmp_path) if a is None else a for a in argv]
+    result = _fresh(
+        "import contextlib, io, json, sys\n"
+        "from mqg.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    code = run({argv!r})\n"
+        "print(json.dumps([code, 'numpy' in sys.modules]))\n")
+    assert result == [code, False]
+
+
+def test_every_export_resolves_to_its_layer():
+    for layer, names in EXPORTS.items():
+        module = importlib.import_module(f"mqg.{layer}")
+        for name in names:
+            assert getattr(mqg, name) is getattr(module, name), name
+    # algebra re-exports the exception that cyclo defines
+    assert mqg.StructureError is importlib.import_module(
+        "mqg.cyclo").StructureError
+    assert sorted(mqg.__all__) == sorted(
+        name for names in EXPORTS.values() for name in names)
+    assert dir(mqg) == sorted(mqg.__all__)
+    # a layer read as an attribute is imported, as when all were eager
+    assert mqg.corep is importlib.import_module("mqg.corep")
+    with pytest.raises(AttributeError):
+        mqg.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from mqg import no_such_name  # noqa: F401
+
+
+def _numpy_imports(path: Path):
+    """The enclosing function of every numpy import, None at module
+    level."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = ([a.name for a in child.names]
+                         if isinstance(child, ast.Import)
+                         else [child.module or ""])
+                if any(n.split(".")[0] == "numpy" for n in names):
+                    found.append(func)
+            inner = (child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_numpy_is_imported_in_two_places():
+    found = {p.stem: _numpy_imports(p) for p in (SRC / "mqg").glob("*.py")}
+    assert {k: v for k, v in found.items() if v} == {
+        "algebra": [None], "corep": ["fp_dimension"]}
