@@ -8,8 +8,10 @@ table lookups.
 """
 from __future__ import annotations
 
-from .cyclo import CycloNum, cached_mul
-from .cocycle import CocycleParams, action_scalar, phi
+from math import lcm
+
+from .cyclo import CycloNum, cached_mul, root_exponent
+from .cocycle import CocycleParams, action_scalar, phi, phi_exponent, q_conductor
 
 __all__ = ["ArrowBimodule", "build_bimodule", "quasi_axiom_check"]
 
@@ -41,6 +43,15 @@ class ArrowBimodule:
     def right_act(self, i: int, a: int):
         return self.right[(a % self.n, i)]
 
+    def exponents(self, N: int) -> tuple[dict, dict]:
+        """The action tables on exponents of zeta_N: (left, right) with
+        left[(a, i)] = (e, j) when g^a . X_i = zeta_N^e X_j, and
+        right[(a, i)] likewise for X_i . g^a.  Raises ValueError unless
+        every coefficient is a root of unity whose order divides N."""
+        return tuple({key: (root_exponent(c, N), j)
+                      for key, (c, j) in table.items()}
+                     for table in (self.left, self.right))
+
     def isotypic(self, i: int) -> tuple[int, int]:
         """(g, h) exponents with X_i in ^(g^g)M^(g^h)."""
         return (i % self.n, (i - 1) % self.n)
@@ -65,11 +76,9 @@ def build_bimodule(params: CocycleParams, q: CycloNum) -> ArrowBimodule:
     """Extend g.X_i = X_{i+1} (with the wrap factor qq^s) and the module
     scalar to full action tables for every group element."""
     n, s = params.n, params.s
-    lam = action_scalar(params, q)  # validates q
+    bim = ArrowBimodule(params, q, action_scalar(params, q), {}, {})
+    left, right = bim.left, bim.right
     one = CycloNum.one()
-
-    left: dict = {}
-    right: dict = {}
     for i in range(1, n + 1):
         left[(0, i)] = (one, i)
         right[(0, i)] = (one, i)
@@ -78,9 +87,8 @@ def build_bimodule(params: CocycleParams, q: CycloNum) -> ArrowBimodule:
             left[(1, i)] = (one, i + 1)
         else:
             left[(1, n)] = (params.qq**s, 1)
-    hbar = params.qq ** (-s) * lam.inverse()
     for i in range(1, n + 1):
-        right[(1, i)] = (hbar, i % n + 1)
+        right[(1, i)] = (bim.deformation, i % n + 1)
 
     # g^a . X_i from g.(g^(a-1).X_i) = [Phi(g,g^(a-1),g^i)/Phi(g,g^(a-1),g^(i-1))] g^a . X_i
     for a in range(2, n):
@@ -98,18 +106,34 @@ def build_bimodule(params: CocycleParams, q: CycloNum) -> ArrowBimodule:
             ratio = phi(params, i - 1, a - 1, 1) / phi(params, i, a - 1, 1)
             right[(a, i)] = (cached_mul(c1, c2) / ratio, j2)
 
-    return ArrowBimodule(params, q, lam, left, right)
+    return bim
 
 
 def quasi_axiom_check(bim: ArrowBimodule, collect: bool = False):
     """Quasi-associativity (left, right, mixed) and the bicomodule
     morphism property, exhaustively over group pairs and arrows.
 
+    Every action coefficient is a root of unity and every Phi value a
+    power of qq = zeta_n, so each identity is decided as a congruence on
+    exponents of zeta_N, for N the lcm of the family's conductor
+    `q_conductor(n, s)` and the order of every coefficient (that
+    conductor itself for every bimodule `build_bimodule` makes).  Raises
+    ValueError when a coefficient is not a root of unity.
+
     Returns bool, or (bool, failures) when collect is set.
     """
     params = bim.params
     n = params.n
+    # a coefficient that is not a root of unity counts as order 1 here,
+    # and bim.exponents raises on it
+    N = lcm(q_conductor(n, params.s),
+            *(c.mult_order() or 1 for table in (bim.left, bim.right)
+              for c, _ in table.values()))
+    left, right = bim.exponents(N)
     failures = []
+
+    def phi_e(i, j, k):
+        return phi_exponent(params, i, j, k) * (N // n)
 
     def record(kind, e, f, i):
         failures.append({"identity": kind, "e": e, "f": f, "arrow": i})
@@ -119,37 +143,33 @@ def quasi_axiom_check(bim: ArrowBimodule, collect: bool = False):
         for e in range(n):
             for f in range(n):
                 # e.(f.m) = Phi(e,f,g)/Phi(e,f,h) (ef).m
-                c1, j1 = bim.left_act(f, i)
-                c2, j2 = bim.left_act(e, j1)
-                c3, j3 = bim.left_act(e + f, i)
-                ratio = phi(params, e, f, g_exp) / phi(params, e, f, h_exp)
-                if j2 != j3 or cached_mul(c1, c2) != cached_mul(ratio, c3):
+                x1, j1 = left[(f, i)]
+                x2, j2 = left[(e, j1)]
+                x3, j3 = left[((e + f) % n, i)]
+                ratio = phi_e(e, f, g_exp) - phi_e(e, f, h_exp)
+                if j2 != j3 or (x1 + x2 - ratio - x3) % N:
                     record("left", e, f, i)
                 # (m.e).f = Phi(h,e,f)/Phi(g,e,f) m.(ef)
-                c1, j1 = bim.right_act(i, e)
-                c2, j2 = bim.right_act(j1, f)
-                c3, j3 = bim.right_act(i, e + f)
-                ratio = phi(params, h_exp, e, f) / phi(params, g_exp, e, f)
-                if j2 != j3 or cached_mul(c1, c2) != cached_mul(ratio, c3):
+                x1, j1 = right[(e, i)]
+                x2, j2 = right[(f, j1)]
+                x3, j3 = right[((e + f) % n, i)]
+                ratio = phi_e(h_exp, e, f) - phi_e(g_exp, e, f)
+                if j2 != j3 or (x1 + x2 - ratio - x3) % N:
                     record("right", e, f, i)
                 # (e.m).f = Phi(e,h,f)/Phi(e,g,f) e.(m.f)
-                c1, j1 = bim.left_act(e, i)
-                c2, j2 = bim.right_act(j1, f)
-                lhs = cached_mul(c1, c2)
-                c3, j3 = bim.right_act(i, f)
-                c4, j4 = bim.left_act(e, j3)
-                ratio = phi(params, e, h_exp, f) / phi(params, e, g_exp, f)
-                rhs = cached_mul(ratio, cached_mul(c3, c4))
-                if j2 != j4 or lhs != rhs:
+                x1, j1 = left[(e, i)]
+                x2, j2 = right[(f, j1)]
+                x3, j3 = right[(f, i)]
+                x4, j4 = left[(e, j3)]
+                ratio = phi_e(e, h_exp, f) - phi_e(e, g_exp, f)
+                if j2 != j4 or (x1 + x2 - ratio - x3 - x4) % N:
                     record("mixed", e, f, i)
         # bicomodule morphism property: g^a . X_i lands in the isotypic
         # component shifted by a on both sides, i.e. the image index is i+a
         for a in range(n):
-            _, j = bim.left_act(a, i)
-            if j % n != (i + a) % n:
+            if left[(a, i)][1] % n != (i + a) % n:
                 record("bicomodule-left", a, None, i)
-            _, j = bim.right_act(i, a)
-            if j % n != (i + a) % n:
+            if right[(a, i)][1] % n != (i + a) % n:
                 record("bicomodule-right", a, None, i)
 
     ok = not failures

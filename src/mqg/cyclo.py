@@ -498,8 +498,9 @@ def cached_mul(a: CycloNum, b: CycloNum) -> CycloNum:
     equal operands at another conductor, so what it returns depends on
     what ran earlier in the process.  Roots of unity hash by their
     reduced (order, exponent), so a lookup of a root compares against
-    equal roots only.  Its only users are `cocycle.sigma` and
-    `sigma_report` and the `bimodule` layer (ROADMAP item 1 removes it)."""
+    equal roots only.  Its only users are `cocycle.sigma`,
+    `sigma_report` and `bimodule.build_bimodule` (ROADMAP item 1 removes
+    it)."""
     return a * b
 
 
@@ -507,9 +508,14 @@ def cached_mul(a: CycloNum, b: CycloNum) -> CycloNum:
 
 
 def root_exponent(x: CycloNum, conductor: int) -> int:
-    """The e in 0..conductor-1 with x == zeta_conductor^e, for a root of
-    unity x whose order divides `conductor`."""
-    k, e = x.as_root_of_unity()
+    """The e in 0..conductor-1 with x == zeta_conductor^e.  Raises
+    ValueError unless x is a root of unity whose order divides
+    `conductor`."""
+    root = x.as_root_of_unity()
+    if root is None or conductor % root[0]:
+        raise ValueError(
+            f"{x!r} is not a root of unity of order dividing {conductor}")
+    k, e = root
     return e * (conductor // k) % conductor
 
 

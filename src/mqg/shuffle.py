@@ -102,16 +102,10 @@ class QuiverAlgebra:
     # -- lattice accumulation of the thin-split sum ------------------------
 
     def _exponent_tables(self):
-        """Bracket scalars as exponents of zeta_Q."""
+        """The bimodule's (left, right) action tables as exponents of
+        zeta_Q."""
         if self._exp_tables is None:
-            n, Q = self.n, self.conductor
-            keys = [(a, arrow) for a in range(n) for arrow in range(1, n + 1)]
-            self._exp_tables = (
-                {(a, i): root_exponent(self.bimodule.right_act(i, a)[0], Q)
-                 for a, i in keys},
-                {(a, i): root_exponent(self.bimodule.left_act(a, i)[0], Q)
-                 for a, i in keys},
-            )
+            self._exp_tables = self.bimodule.exponents(self.conductor)
         return self._exp_tables
 
     def _shuffle_grid(self, i: int, j: int, lmax: int, mmax: int, bound=None):
@@ -121,7 +115,7 @@ class QuiverAlgebra:
         conductor Q of the family: F[a][b][k] is the coefficient of
         zeta_Q^k.
         """
-        rexp, lexp = self._exponent_tables()
+        lexp, rexp = self._exponent_tables()
         n = self.n
         # cells may share one list (rotate by 0 returns its input): none
         # is modified once stored
@@ -135,10 +129,10 @@ class QuiverAlgebra:
                     continue
                 acc = None
                 if a > 0:
-                    e = rexp[((j + b) % n, (i + a - 1) % n + 1)]
+                    e = rexp[((j + b) % n, (i + a - 1) % n + 1)][0]
                     acc = rotate(F[a - 1][b], e)
                 if b > 0:
-                    e = lexp[((i + a) % n, (j + b - 1) % n + 1)]
+                    e = lexp[((i + a) % n, (j + b - 1) % n + 1)][0]
                     v = rotate(F[a][b - 1], e)
                     acc = v if acc is None else [x + y for x, y in zip(acc, v)]
                 F[a][b] = acc

@@ -49,11 +49,12 @@ from mqg.corep import (
 def _fresh_caches():
     """Each criterion is timed from a cold cache.
 
-    The scalar product cache `cyclo.cached_mul` is filled only by the
-    sigma reports (`cocycle.sigma` and `sigma_report`) and the bimodule
-    layer; the pentagon is decided on integer exponents and never
-    touches it.  It stays small: 528 entries after the n <= 12 sigma
-    sweep, 5,124 after the n <= 8 bimodule sweep.  But it is keyed by
+    The scalar product cache `cyclo.cached_mul` is filled only by
+    `cocycle.sigma`, `sigma_report` and `bimodule.build_bimodule`; the
+    pentagon and the bimodule quasi-axioms are decided on integer
+    exponents and never touch it.  It stays small: 390 entries after
+    criterion 02's sigma products (n <= 12), 3,576 after criterion 03's
+    bimodule sweep (n <= 12).  But it is keyed by
     value, so what one criterion leaves in it decides the conductor of
     the products a later one gets back; the integer q-binomial buckets
     of `shuffle._binomial_buckets` grow with every conductor seen.
@@ -135,18 +136,18 @@ def test_criterion_02_twisted_algebra_suite():
 
 def test_criterion_03_bimodule_suite():
     """Quasi-associativity and the bicomodule-morphism property of the
-    arrow bimodule, n <= 8, all legal (s, q), exhaustive."""
+    arrow bimodule, n <= 12, all legal (s, q), exhaustive."""
     t0 = time.time()
     ok = True
     count = 0
-    for n in range(2, 9):
+    for n in range(2, 13):
         for params, s, q in _families(n):
             if not quasi_axiom_check(build_bimodule(params, q)):
                 ok = False
             count += 1
     dt = time.time() - t0
     _verdict(3, ok,
-             f"bimodule axioms exact on all {count} families, n <= 8, "
+             f"bimodule axioms exact on all {count} families, n <= 12, "
              f"in {dt:.2f}s")
 
 

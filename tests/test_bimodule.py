@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from mqg.cyclo import CycloNum, root_of_unity
-from mqg.cocycle import CocycleParams, legal_q_values
+from mqg.cocycle import CocycleParams, legal_q_values, phi
 from mqg.bimodule import build_bimodule, quasi_axiom_check
 
 
@@ -80,6 +81,82 @@ def test_quasi_axioms_negative_control():
     assert any(f["identity"] == "left" for f in failures)
 
 
+def _quasi_axiom_oracle(bim):
+    """quasi_axiom_check(bim, collect=True) as a plain loop over CycloNum
+    products and Phi values, with no exponents."""
+    params = bim.params
+    n = params.n
+    failures = []
+
+    def record(kind, e, f, i):
+        failures.append({"identity": kind, "e": e, "f": f, "arrow": i})
+
+    for i in range(1, n + 1):
+        g_exp, h_exp = bim.isotypic(i)
+        for e in range(n):
+            for f in range(n):
+                # e.(f.m) = Phi(e,f,g)/Phi(e,f,h) (ef).m
+                c1, j1 = bim.left_act(f, i)
+                c2, j2 = bim.left_act(e, j1)
+                c3, j3 = bim.left_act(e + f, i)
+                ratio = phi(params, e, f, g_exp) / phi(params, e, f, h_exp)
+                if j2 != j3 or c1 * c2 != ratio * c3:
+                    record("left", e, f, i)
+                # (m.e).f = Phi(h,e,f)/Phi(g,e,f) m.(ef)
+                c1, j1 = bim.right_act(i, e)
+                c2, j2 = bim.right_act(j1, f)
+                c3, j3 = bim.right_act(i, e + f)
+                ratio = phi(params, h_exp, e, f) / phi(params, g_exp, e, f)
+                if j2 != j3 or c1 * c2 != ratio * c3:
+                    record("right", e, f, i)
+                # (e.m).f = Phi(e,h,f)/Phi(e,g,f) e.(m.f)
+                c1, j1 = bim.left_act(e, i)
+                c2, j2 = bim.right_act(j1, f)
+                c3, j3 = bim.right_act(i, f)
+                c4, j4 = bim.left_act(e, j3)
+                ratio = phi(params, e, h_exp, f) / phi(params, e, g_exp, f)
+                if j2 != j4 or c1 * c2 != ratio * (c3 * c4):
+                    record("mixed", e, f, i)
+        for a in range(n):
+            if bim.left_act(a, i)[1] % n != (i + a) % n:
+                record("bicomodule-left", a, None, i)
+            if bim.right_act(i, a)[1] % n != (i + a) % n:
+                record("bicomodule-right", a, None, i)
+    return not failures, failures
+
+
+def test_quasi_axioms_match_the_cyclonum_oracle():
+    # every family n <= 6, as built and with one seeded coefficient times
+    # a primitive root of each order (the check's conductor grows to the
+    # lcm with it)
+    rng = random.Random(13)
+    cases = failed = 0
+    for params, q in _families(6):
+        bim = build_bimodule(params, q)
+        assert quasi_axiom_check(bim, collect=True) == (True, [])
+        assert _quasi_axiom_oracle(bim) == (True, [])
+        for order in (2, 3, 5, 8, 9, 16):
+            bim = build_bimodule(params, q)
+            table = rng.choice((bim.left, bim.right))
+            key = rng.choice(sorted(table))
+            c, j = table[key]
+            table[key] = (c * root_of_unity(order), j)
+            got = quasi_axiom_check(bim, collect=True)
+            assert got == _quasi_axiom_oracle(bim), (params, q, order, key)
+            cases += 1
+            failed += not got[0]
+    assert cases == 540 and failed == cases
+
+
+def test_quasi_axioms_reject_a_coefficient_that_is_not_a_root():
+    params = CocycleParams.standard(3, 1)
+    bim = build_bimodule(params, legal_q_values(params)[0])
+    c, j = bim.right[(2, 3)]
+    bim.right[(2, 3)] = (c * 2, j)
+    with pytest.raises(ValueError):
+        quasi_axiom_check(bim)
+
+
 def test_to_json_shape():
     params = CocycleParams.standard(2, 1)
     bim = build_bimodule(params, root_of_unity(4))
@@ -106,9 +183,10 @@ print(json.dumps(bim.to_json()))
 
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="ROADMAP item 2: global caches keyed by CycloNum hand back equal "
-           "values at other conductors, so the n = 9 reports leave "
-           "conductor-9 coefficients in the later bimodule")
+    reason="ROADMAP item 1: cyclo.cached_mul, still used by cocycle.sigma, "
+           "sigma_report and build_bimodule, hands back equal values at "
+           "other conductors, so the n = 9 reports leave conductor-9 "
+           "coefficients in the later bimodule")
 def test_output_does_not_depend_on_earlier_calls():
     env = {**os.environ,
            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}

@@ -138,6 +138,22 @@ def test_as_root_of_unity():
     assert root_exponent(root_of_unity(9, 6), 9) == 6
     assert root_exponent(root_of_unity(4, 3), 16) == 12
     assert root_exponent(CycloNum.one(), 5) == 0
+    # an untagged root, and -1 at odd conductor 3 read at 6
+    assert root_exponent(CycloNum(8, [0, 0, 1]), 8) == 2
+    assert root_exponent(CycloNum.from_rational(-1), 6) == 3
+
+
+def test_root_exponent_rejects_what_is_not_a_root_at_the_conductor():
+    # an order that does not divide the conductor
+    for x, conductor in ((root_of_unity(8), 4), (root_of_unity(4, 2), 3),
+                         (CycloNum(8, [0, 0, 1]), 2)):
+        with pytest.raises(ValueError):
+            root_exponent(x, conductor)
+    # not a root of unity at all
+    for x in (CycloNum(4, [1, 1]), CycloNum.from_rational(2),
+              CycloNum.zero(), root_of_unity(3) / 2):
+        with pytest.raises(ValueError):
+            root_exponent(x, 12)
 
 
 def test_untagged_roots_of_unity():
