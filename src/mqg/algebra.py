@@ -406,7 +406,8 @@ def verify_quasi_bialgebra(M: MajidAlgebra) -> dict:
         witness = check()
         if witness is not None:
             return fail(name, witness)
-        checks[name] = True
+    checks["quasi-associativity"] = True
+    checks["coproduct-multiplicative"] = True
 
     # a product with a factor of positive length has a target of positive
     # length or none, so its counit is 0 as required: only the vertex

@@ -138,7 +138,7 @@ def test_as_root_of_unity():
     assert root_exponent(root_of_unity(9, 6), 9) == 6
     assert root_exponent(root_of_unity(4, 3), 16) == 12
     assert root_exponent(CycloNum.one(), 5) == 0
-    # an untagged root, and -1 at odd conductor 3 read at 6
+    # an untagged root, and the rational -1 (order 2) read at 6
     assert root_exponent(CycloNum(8, [0, 0, 1]), 8) == 2
     assert root_exponent(CycloNum.from_rational(-1), 6) == 3
 
