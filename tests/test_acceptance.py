@@ -54,10 +54,10 @@ def _fresh_caches():
     pentagon and the bimodule quasi-axioms are decided on integer
     exponents and never touch it.  It stays small: 390 entries after
     criterion 02's sigma products (n <= 12), 3,576 after criterion 03's
-    bimodule sweep (n <= 12).  But it is keyed by
-    value, so what one criterion leaves in it decides the conductor of
-    the products a later one gets back; the integer q-binomial buckets
-    of `shuffle._binomial_buckets` grow with every conductor seen.
+    bimodule sweep (n <= 12).  But it is keyed by value, so what one
+    criterion leaves in it decides the conductor of the products a later
+    one gets back; the integer q-binomial buckets of
+    `shuffle._binomial_buckets` grow with every conductor seen.
     Clearing both between criteria makes each criterion compute, and
     take, what it would in isolation.
     """
