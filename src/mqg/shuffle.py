@@ -13,13 +13,18 @@ Two independent evaluation routes exist for products of paths:
 
 Both routes work at the conductor Q = `cocycle.q_conductor(n, s)` of the
 family, so every structure constant of M(n, s, q) has conductor Q
-however q was written.  `cross_check` asserts both routes agree pair by
-pair.
+however q was written.  The thin-split grid packs each coefficient
+vector mod x^Q - 1 into one Python int (Kronecker substitution): lane k,
+`width` bits wide, holds the coefficient of zeta_Q^k, so a product by
+zeta_Q^e is a rotation of the lanes, a sum one `+` and a comparison one
+`==`.  `cross_check` asserts both routes agree pair by pair on these
+packed values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 from .cyclo import (
     CycloNum,
@@ -57,10 +62,13 @@ def gauss_binomial_poly(total: int, k: int) -> tuple[int, ...]:
 @lru_cache(maxsize=1 << 16)
 def _binomial_buckets(conductor: int, hbar_exp: int, l: int, m: int) -> tuple[int, ...]:
     """(l+m choose l)_{x^hbar_exp} as a coefficient vector mod x^conductor - 1."""
+    # degree d lands in bucket d * hbar_exp mod conductor, which depends
+    # only on d mod period
+    poly = gauss_binomial_poly(l + m, l)
+    period = conductor // gcd(hbar_exp, conductor)
     buckets = [0] * conductor
-    for d, c in enumerate(gauss_binomial_poly(l + m, l)):
-        if c:
-            buckets[(d * hbar_exp) % conductor] += c
+    for r in range(min(period, len(poly))):
+        buckets[r * hbar_exp % conductor] = sum(poly[r::period])
     return tuple(buckets)
 
 
@@ -71,6 +79,21 @@ def _product_exponent(n: int, s: int, N: int, hbar_exp: int, i, l, j, m):
     with qq = zeta_N^(N/n) and the carry c = (j + m) // n.  Takes
     integers or numpy arrays."""
     return hbar_exp * j * l + N // n * s * (i + l % n) * ((j + m) // n)
+
+
+def _pack_lanes(vec, width: int) -> int:
+    """An integer vector with entries in 0..2^width - 1 as one int:
+    lane k (bits width*k .. width*k + width - 1) holds vec[k]."""
+    packed = 0
+    for k in range(len(vec) - 1, -1, -1):
+        packed = (packed << width) | vec[k]
+    return packed
+
+
+def _unpack_lanes(packed: int, width: int, conductor: int) -> list[int]:
+    """The inverse of `_pack_lanes`: the `conductor` lanes as a list."""
+    lane = (1 << width) - 1
+    return [(packed >> (width * k)) & lane for k in range(conductor)]
 
 
 @dataclass
@@ -109,34 +132,50 @@ class QuiverAlgebra:
         return self._exp_tables
 
     def _shuffle_grid(self, i: int, j: int, lmax: int, mmax: int, bound=None):
-        """All thin-split sums F[a][b] = coeff of p_i^a * p_j^b at once.
+        """All thin-split sums F[a][b] = coeff of p_i^a * p_j^b at once,
+        for a <= lmax, b <= mmax and a + b <= bound (default lmax + mmax);
+        cells beyond the bound are None.  Returns (width, F).
 
-        Values are integer coefficient vectors modulo x^Q - 1 for the
-        conductor Q of the family: F[a][b][k] is the coefficient of
-        zeta_Q^k.
+        Each cell is an integer vector modulo x^Q - 1 for the conductor Q
+        of the family, packed by `_pack_lanes` with lanes `width` =
+        bound + 1 bits wide: lane k of F[a][b] is the coefficient of
+        zeta_Q^k.  The lanes cannot overflow: every action coefficient is
+        a root of unity, so each step only rotates lanes and adds, every
+        lane stays non-negative, and the lanes of F[a][b] sum to the
+        number of lattice paths to (a, b), binom(a+b, a) <= 2^(a+b) <
+        2^width.  So a lane never carries into the next one.
         """
         lexp, rexp = self._exponent_tables()
-        n = self.n
-        # cells may share one list (rotate by 0 returns its input): none
-        # is modified once stored
+        n, Q = self.n, self.conductor
+        if bound is None:
+            bound = lmax + mmax
+        width = bound + 1
+        mask = (1 << width * Q) - 1
+        # the lane shifts of each step, by the residues of (a, b) mod n
+        # that pick its action coefficient
+        rsh = [[(width * e, width * (Q - e)) for e in (
+            rexp[((j + b) % n, (i + a - 1) % n + 1)][0] for b in range(n))]
+            for a in range(n)]
+        lsh = [[(width * e, width * (Q - e)) for e in (
+            lexp[((i + a) % n, (j + b - 1) % n + 1)][0] for b in range(n))]
+            for a in range(n)]
         F = [[None] * (mmax + 1) for _ in range(lmax + 1)]
-        F[0][0] = [1] + [0] * (self.conductor - 1)
+        F[0][0] = 1
         for a in range(lmax + 1):
-            for b in range(mmax + 1):
-                if a == 0 and b == 0:
-                    continue
-                if bound is not None and a + b > bound:
-                    continue
-                acc = None
-                if a > 0:
-                    e = rexp[((j + b) % n, (i + a - 1) % n + 1)][0]
-                    acc = rotate(F[a - 1][b], e)
-                if b > 0:
-                    e = lexp[((i + a) % n, (j + b - 1) % n + 1)][0]
-                    v = rotate(F[a][b - 1], e)
-                    acc = v if acc is None else [x + y for x, y in zip(acc, v)]
-                F[a][b] = acc
-        return F
+            row, up = F[a], F[a - 1]
+            ra, la = rsh[a % n], lsh[a % n]
+            for b in range(0 if a else 1, min(mmax, bound - a) + 1):
+                acc = 0
+                if a:
+                    x = up[b]
+                    lo, hi = ra[b % n]
+                    acc = ((x << lo) & mask) | (x >> hi)
+                if b:
+                    x = row[b - 1]
+                    lo, hi = la[b % n]
+                    acc += ((x << lo) & mask) | (x >> hi)
+                row[b] = acc
+        return width, F
 
     # -- public products ---------------------------------------------------
 
@@ -146,8 +185,9 @@ class QuiverAlgebra:
         for p1, c1 in alpha.terms.items():
             for p2, c2 in beta.terms.items():
                 l, m = p1.length, p2.length
-                F = self._shuffle_grid(p1.source, p2.source, l, m)
-                coeff = CycloNum(self.conductor, F[l][m]) * c1 * c2
+                width, F = self._shuffle_grid(p1.source, p2.source, l, m)
+                vec = _unpack_lanes(F[l][m], width, self.conductor)
+                coeff = CycloNum(self.conductor, vec) * c1 * c2
                 target = Path(self.n, p1.source + p2.source, l + m)
                 out = out + PathVector(self.n, {target: coeff})
         return out
@@ -194,38 +234,54 @@ class QuiverAlgebra:
         return acc
 
     def cross_check(self, max_total_length: int) -> CrossCheckReport:
-        """Thin-split sum == closed formula for every pair with l+m below
+        """Thin-split sum == closed formula for every pair with l+m at most
         the bound, every pair of sources.
 
-        Both sides are compared in Z[x]/(x^Q - 1), the closed side as the
-        very vector `closed_form_product` returns, and the difference is
-        reduced modulo Phi_Q with integer arithmetic, so the check is
-        exact and Fraction-free.
+        Both sides are packed vectors in Z[x]/(x^Q - 1) with the lane
+        width of `_shuffle_grid`: the closed side is `_binomial_buckets`
+        packed once per (l, m) and rotated by `_product_exponent`, the
+        same rule and table `closed_form_product` uses, and its lanes sum
+        to binom(l+m, l) too.  Equal ints are equal vectors.  Only when
+        they differ are both unpacked and the difference reduced modulo
+        Phi_Q with integer arithmetic, so the check is exact and
+        Fraction-free.  The first pair that differs mod Phi_Q is the
+        witness.
         """
-        n, conductor = self.n, self.conductor
+        if max_total_length < 0:
+            raise ValueError("max_total_length must be >= 0")
+        n, s, Q, hb = self.n, self.params.s, self.conductor, self._hb
+        T = max_total_length
+        width = T + 1
+        mask = (1 << width * Q) - 1
+        binomials = [[_pack_lanes(_binomial_buckets(Q, hb, l, m), width)
+                      for m in range(T + 1 - l)] for l in range(T + 1)]
         checked = 0
         for i in range(n):
             for j in range(n):
-                F = self._shuffle_grid(
-                    i, j, max_total_length, max_total_length, bound=max_total_length
-                )
-                for l in range(max_total_length + 1):
-                    for m in range(max_total_length + 1 - l):
-                        got = F[l][m]
-                        want = self._closed_form_vec(i, l, j, m)
+                _, F = self._shuffle_grid(i, j, T, T, bound=T)
+                for l in range(T + 1):
+                    row, brow = F[l], binomials[l]
+                    for m in range(T + 1 - l):
+                        got = row[m]
+                        e = _product_exponent(n, s, Q, hb, i, l, j, m) % Q
+                        x = brow[m]
+                        want = ((x << width * e) & mask) | (x >> width * (Q - e))
                         checked += 1
-                        if got != want and not int_vec_zero_mod_phi(
-                            [a - b for a, b in zip(got, want)], conductor
+                        if got == want:
+                            continue
+                        got = _unpack_lanes(got, width, Q)
+                        want = _unpack_lanes(want, width, Q)
+                        if not int_vec_zero_mod_phi(
+                            [a - b for a, b in zip(got, want)], Q
                         ):
                             return CrossCheckReport(
                                 passed=False,
                                 pairs_checked=checked,
                                 witness={
                                     "i": i, "j": j, "l": l, "m": m,
-                                    "shuffle": CycloNum(
-                                        conductor, got).to_json(),
+                                    "shuffle": CycloNum(Q, got).to_json(),
                                     "closed_form": CycloNum(
-                                        conductor, want).to_json(),
+                                        Q, want).to_json(),
                                 },
                             )
         return CrossCheckReport(passed=True, pairs_checked=checked)

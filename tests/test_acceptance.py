@@ -153,11 +153,11 @@ def test_criterion_03_bimodule_suite():
 
 def test_criterion_04_oracle_equivalence():
     """Thin-split product sum equals the closed product formula for every
-    source pair and l+m <= 2d, n <= 5, every family, exact."""
+    source pair and l+m <= 2d, n <= 6, every family, exact."""
     t0 = time.time()
     ok = True
     pairs = 0
-    for n in range(2, 6):
+    for n in range(2, 7):
         for params, s, q in _families(n):
             A = QuiverAlgebra.build(n, s, q)
             d = A.hbar.mult_order()
@@ -168,7 +168,7 @@ def test_criterion_04_oracle_equivalence():
     dt = time.time() - t0
     _verdict(4, ok and dt < 60,
              f"shuffle sum == closed formula on {pairs} path pairs "
-             f"(l+m <= 2d, n <= 5, all families), exact, in {dt:.2f}s (< 60s)")
+             f"(l+m <= 2d, n <= 6, all families), exact, in {dt:.2f}s (< 60s)")
 
 
 def test_criterion_05_dimension_claim():

@@ -1,12 +1,20 @@
+import json
+import random
 from functools import reduce
 from math import comb
 
 import pytest
 
-from mqg.cyclo import CycloNum, _reduce_mod_phi
+from mqg.cyclo import CycloNum, _reduce_mod_phi, int_vec_zero_mod_phi, rotate
 from mqg.cocycle import CocycleParams, legal_q_values
 from mqg.quiver import Path, PathVector, thin_splits
-from mqg.shuffle import QuiverAlgebra, _binomial_buckets, gauss_binomial_poly
+from mqg.shuffle import (
+    CrossCheckReport,
+    QuiverAlgebra,
+    _binomial_buckets,
+    _unpack_lanes,
+    gauss_binomial_poly,
+)
 from test_cyclo import cyclic_mul
 
 
@@ -30,6 +38,18 @@ def test_gauss_binomial_at_roots():
     assert _binomial_buckets(1, 0, 3, 2) == (10,)  # at 1: comb(5, 2)
     # [3]_{zeta_3} = 0
     assert not any(_reduce_mod_phi(_binomial_buckets(3, 1, 2, 1), 3))
+
+
+def test_binomial_buckets_fold_the_gauss_polynomial():
+    # degree d of (l+m choose l)_x goes to bucket d * hbar_exp mod N
+    for N in (1, 2, 4, 9, 12, 16):
+        for hb in range(N + 2):
+            for l in range(9):
+                for m in range(9):
+                    want = [0] * N
+                    for d, c in enumerate(gauss_binomial_poly(l + m, l)):
+                        want[d * hb % N] += c
+                    assert _binomial_buckets(N, hb, l, m) == tuple(want)
 
 
 def test_gauss_scalar():
@@ -126,8 +146,9 @@ def test_routes_agree_small():
                     for m in range(4 - l):
                         p1, p2 = Path(n, i, l), Path(n, j, m)
                         enum = _thin_split_sum(A, p1, p2)
-                        F = A._shuffle_grid(i, j, l, m)
-                        grid = CycloNum(A.conductor, F[l][m])
+                        width, F = A._shuffle_grid(i, j, l, m)
+                        grid = CycloNum(A.conductor, _unpack_lanes(
+                            F[l][m], width, A.conductor))
                         closed, _ = A.closed_form_product(p1, p2)
                         assert enum == grid == closed, (n, s, i, j, l, m)
                         got = A.shuffle_multiply(PathVector.monomial(p1),
@@ -146,6 +167,120 @@ def test_cross_check_reports():
             rep = A.cross_check(4)
             assert rep.passed and rep.witness is None
             assert rep.pairs_checked == n * n * 15  # pairs (l,m), l+m <= 4
+
+
+def _list_grid(A, i, j, T):
+    """The thin-split grid F[a][b], a + b <= T, as plain coefficient
+    lists mod x^Q - 1: the oracle for the packed `_shuffle_grid`."""
+    lexp, rexp = A._exponent_tables()
+    n = A.n
+    F = [[None] * (T + 1) for _ in range(T + 1)]
+    F[0][0] = [1] + [0] * (A.conductor - 1)
+    for a in range(T + 1):
+        for b in range(T + 1 - a):
+            if a == 0 and b == 0:
+                continue
+            acc = None
+            if a > 0:
+                e = rexp[((j + b) % n, (i + a - 1) % n + 1)][0]
+                acc = rotate(F[a - 1][b], e)
+            if b > 0:
+                e = lexp[((i + a) % n, (j + b - 1) % n + 1)][0]
+                v = rotate(F[a][b - 1], e)
+                acc = v if acc is None else [x + y for x, y in zip(acc, v)]
+            F[a][b] = acc
+    return F
+
+
+def _oracle_cross_check(A, T):
+    """`QuiverAlgebra.cross_check` on coefficient lists, cell by cell."""
+    Q = A.conductor
+    checked = 0
+    for i in range(A.n):
+        for j in range(A.n):
+            F = _list_grid(A, i, j, T)
+            for l in range(T + 1):
+                for m in range(T + 1 - l):
+                    got = F[l][m]
+                    want = A._closed_form_vec(i, l, j, m)
+                    checked += 1
+                    if got != want and not int_vec_zero_mod_phi(
+                            [a - b for a, b in zip(got, want)], Q):
+                        return CrossCheckReport(False, checked, {
+                            "i": i, "j": j, "l": l, "m": m,
+                            "shuffle": CycloNum(Q, got).to_json(),
+                            "closed_form": CycloNum(Q, want).to_json(),
+                        })
+    return CrossCheckReport(True, checked)
+
+
+def _assert_grid_matches_oracle(A, T):
+    for i in range(A.n):
+        for j in range(A.n):
+            width, F = A._shuffle_grid(i, j, T, T, bound=T)
+            want = _list_grid(A, i, j, T)
+            for a in range(T + 1):
+                for b in range(T + 1):
+                    if a + b > T:
+                        assert F[a][b] is None
+                    else:
+                        got = _unpack_lanes(F[a][b], width, A.conductor)
+                        assert got == want[a][b], (A.n, i, j, a, b)
+
+
+def test_cross_check_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="max_total_length"):
+        _algebra(2, 1).cross_check(-1)
+    rep = _algebra(2, 1).cross_check(0)
+    assert rep.passed and rep.pairs_checked == 4
+
+
+def test_cross_check_matches_the_oracle_when_tampered():
+    # negative control: one seeded action exponent shifted by a root of
+    # order 2, 3, 4 or 8 must fail the check exactly where the list
+    # oracle does, witness included
+    rng = random.Random(14)
+    cases = failed = 0
+    for n in range(2, 5):
+        for s in range(n):
+            for q in legal_q_values(CocycleParams.standard(n, s)):
+                for order in (2, 3, 4, 8):
+                    A = QuiverAlgebra.build(n, s, q)
+                    Q = A.conductor
+                    if Q % order:
+                        continue
+                    table = A._exponent_tables()[rng.randrange(2)]
+                    key = rng.choice(sorted(table))
+                    e, target = table[key]
+                    table[key] = ((e + Q // order) % Q, target)
+                    T = 2 * A.hbar.mult_order()
+                    got, want = A.cross_check(T), _oracle_cross_check(A, T)
+                    assert got == want, (n, s, q, order, key)
+                    assert json.dumps(got.witness) == json.dumps(want.witness)
+                    cases += 1
+                    failed += not got.passed
+    assert cases == failed == 59
+
+
+def test_grid_lanes_hold_the_largest_binomial():
+    # M(2, 0, 1): hbar = 1 and every action exponent is 0, so each cell
+    # puts all of binom(a+b, a) into lane 0; binom(60, 30) > 2^56
+    A = QuiverAlgebra.build(2, 0, CycloNum.one())
+    assert A.hbar == CycloNum.one()
+    assert comb(60, 30) > 2 ** 56
+    rep = A.cross_check(60)
+    assert rep.passed and rep.pairs_checked == 4 * 61 * 62 // 2
+    _assert_grid_matches_oracle(A, 60)
+    width, F = A._shuffle_grid(0, 0, 30, 30, bound=60)
+    assert _unpack_lanes(F[30][30], width, 2) == [comb(60, 30), 0]
+
+
+def test_grid_matches_the_list_oracle():
+    for n in range(2, 5):
+        for s in range(n):
+            for q in legal_q_values(CocycleParams.standard(n, s)):
+                A = QuiverAlgebra.build(n, s, q)
+                _assert_grid_matches_oracle(A, 2 * A.hbar.mult_order())
 
 
 def test_left_powers_are_gauss_factorials():
