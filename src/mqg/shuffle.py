@@ -84,10 +84,7 @@ def _product_exponent(n: int, s: int, N: int, hbar_exp: int, i, l, j, m):
 def _pack_lanes(vec, width: int) -> int:
     """An integer vector with entries in 0..2^width - 1 as one int:
     lane k (bits width*k .. width*k + width - 1) holds vec[k]."""
-    packed = 0
-    for k in range(len(vec) - 1, -1, -1):
-        packed = (packed << width) | vec[k]
-    return packed
+    return sum(c << width * k for k, c in enumerate(vec))
 
 
 def _unpack_lanes(packed: int, width: int, conductor: int) -> list[int]:
@@ -137,7 +134,7 @@ class QuiverAlgebra:
         cells beyond the bound are None.  Returns (width, F).
 
         Each cell is an integer vector modulo x^Q - 1 for the conductor Q
-        of the family, packed by `_pack_lanes` with lanes `width` =
+        of the family, packed as by `_pack_lanes` with lanes `width` =
         bound + 1 bits wide: lane k of F[a][b] is the coefficient of
         zeta_Q^k.  The lanes cannot overflow: every action coefficient is
         a root of unity, so each step only rotates lanes and adds, every

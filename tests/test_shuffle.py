@@ -7,6 +7,7 @@ import pytest
 
 from mqg.cyclo import CycloNum, _reduce_mod_phi, int_vec_zero_mod_phi, rotate
 from mqg.cocycle import CocycleParams, legal_q_values
+from mqg import shuffle
 from mqg.quiver import Path, PathVector, thin_splits
 from mqg.shuffle import (
     CrossCheckReport,
@@ -260,6 +261,23 @@ def test_cross_check_matches_the_oracle_when_tampered():
                     cases += 1
                     failed += not got.passed
     assert cases == failed == 59
+
+
+def test_cross_check_reduces_a_packed_difference_mod_phi(monkeypatch):
+    # one more in every bucket adds the sum of all Q-th roots of unity,
+    # zero for Q > 1: the packed ints differ, the scalars do not.  One
+    # more in bucket 0 only is a real difference.
+    original = shuffle._binomial_buckets
+    for n, s in ((2, 0), (2, 1), (3, 2)):
+        q = legal_q_values(CocycleParams.standard(n, s))[-1]
+        for shift, passes in ((lambda v: [c + 1 for c in v], True),
+                              (lambda v: [v[0] + 1] + list(v[1:]), False)):
+            monkeypatch.setattr(shuffle, "_binomial_buckets",
+                                lambda *a: tuple(shift(original(*a))))
+            A = QuiverAlgebra.build(n, s, q)
+            T = 2 * A.hbar.mult_order()
+            got, want = A.cross_check(T), _oracle_cross_check(A, T)
+            assert got == want and got.passed is passes, (n, s, passes)
 
 
 def test_grid_lanes_hold_the_largest_binomial():
