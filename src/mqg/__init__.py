@@ -52,7 +52,7 @@ _EXPORTS = {
         "twisted_product_scalar",
     ),
     "bimodule": ("ArrowBimodule", "build_bimodule", "quasi_axiom_check"),
-    "shuffle": ("CrossCheckReport", "QuiverAlgebra", "gauss_binomial_poly"),
+    "shuffle": ("CrossCheckReport", "QuiverAlgebra"),
     "corep": (
         "CycleModule",
         "FusionData",

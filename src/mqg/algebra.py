@@ -33,7 +33,7 @@ from .cocycle import (
     q_conductor,
 )
 from .quiver import Path, PathVector
-from .shuffle import QuiverAlgebra, _binomial_buckets, _product_exponent
+from .shuffle import QuiverAlgebra, _product_exponent
 
 import numpy as np
 
@@ -173,7 +173,8 @@ class _IntegerEngine:
     the one rule `shuffle._product_exponent`, Phi(g^i, g^j, g^k) =
     zeta_N^phi_e(i,j,k) by `cocycle.phi_exponent` and beta(g^i) =
     zeta_N^beta_e(i); E and phi_e take integers or numpy arrays.
-    Binomials are integer vectors modulo x^N - 1, and a value is zero
+    Binomials are integer vectors modulo x^N - 1, read from the family's
+    table `QuiverAlgebra.binomial` at stride Q/N, and a value is zero
     when its vector reduces to 0 modulo Phi_N.  The checks of
     quasi-associativity and of the coproduct are numpy sweeps over the
     exponents of a range of lengths at a time; they return None or the
@@ -186,6 +187,7 @@ class _IntegerEngine:
         self.n, self.d = n, d
         self.N = N = lcm(d, n)  # d is the order of hbar
         self.hb_e = root_exponent(M.hbar, N)
+        self._algebra = M.algebra
         # E and Phi read the same s, M.s, which negative controls move
         self.E = partial(_product_exponent, n, M.s, N, self.hb_e)
         self._params = CocycleParams.standard(n, M.s)
@@ -199,8 +201,11 @@ class _IntegerEngine:
         return -self.phi_e(i, -i % self.n, i)
 
     def binomial(self, l: int, m: int):
-        """binom(l+m, l)_hbar as a vector."""
-        return _binomial_buckets(self.N, self.hb_e, l, m)
+        """binom(l+m, l)_hbar as a vector: the family's vector mod
+        x^Q - 1 is zero off the multiples of Q/N, since N divides Q and
+        hbar is an N-th root of unity, so every (Q/N)-th entry is it."""
+        A = self._algebra
+        return A.binomial(l, m)[::A.conductor // self.N]
 
     def vanishes(self, l, m):
         """binom(l+m, l)_hbar = 0, for integers or numpy arrays: by q-Lucas,
@@ -751,7 +756,14 @@ def import_algebra(doc) -> MajidAlgebra:
     if not all(type(v) is int for v in (conductor, q_exp, n, s)):
         raise ValueError("malformed algebra document: conductor, q_exp, n "
                          "and s must be integers")
+    # the rebuild and the export cost as much as the family the document
+    # names, so a document too small for that family fails first
+    disagrees = StructureError("imported document disagrees with the rebuilt algebra")
+    d, dim, mult = doc.get("d"), doc.get("dim"), doc.get("mult")
+    if not (type(d) is int and type(dim) is int and dim == n * d
+            and type(mult) is list and len(mult) == dim * dim):
+        raise disagrees
     M = MajidAlgebra.build(n, s, root_of_unity(conductor, q_exp))
-    if export_algebra(M, "dict") != {**doc}:
-        raise StructureError("imported document disagrees with the rebuilt algebra")
+    if M.d != d or export_algebra(M, "dict") != {**doc}:
+        raise disagrees
     return M

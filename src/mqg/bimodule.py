@@ -37,12 +37,6 @@ class ArrowBimodule:
     def n(self) -> int:
         return self.params.n
 
-    def left_act(self, a: int, i: int):
-        return self.left[(a % self.n, i)]
-
-    def right_act(self, i: int, a: int):
-        return self.right[(a % self.n, i)]
-
     def exponents(self, N: int) -> tuple[dict, dict]:
         """The action tables on exponents of zeta_N: (left, right) with
         left[(a, i)] = (e, j) when g^a . X_i = zeta_N^e X_j, and

@@ -8,8 +8,8 @@ Two independent evaluation routes exist for products of paths:
   not know the closed form.
 * the closed product formula: coef(p(i,l) p(j,m)) is a root of unity
   zeta_N^E(i,l,j,m) times the Gaussian binomial (l+m choose l)_hbar.
-  `_product_exponent` is the one rule for E and `_binomial_buckets` the
-  one table of binomials, both on integers.
+  `_product_exponent` is the one rule for E and `QuiverAlgebra.binomial`
+  reads the family's one table of binomials, both on integers.
 
 Both routes work at the conductor Q = `cocycle.q_conductor(n, s)` of the
 family, so every structure constant of M(n, s, q) has conductor Q
@@ -23,8 +23,6 @@ packed values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd
 
 from .cyclo import (
     CycloNum,
@@ -38,39 +36,8 @@ from .quiver import Path, PathVector
 
 __all__ = [
     "QuiverAlgebra",
-    "gauss_binomial_poly",
     "CrossCheckReport",
 ]
-
-@lru_cache(maxsize=None)
-def gauss_binomial_poly(total: int, k: int) -> tuple[int, ...]:
-    """Coefficients of the Gaussian binomial (total choose k)_x."""
-    if k < 0 or k > total:
-        return (0,)
-    if k == 0 or k == total:
-        return (1,)
-    a = gauss_binomial_poly(total - 1, k - 1)
-    b = gauss_binomial_poly(total - 1, k)  # times x^k
-    out = [0] * max(len(a), len(b) + k)
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i + k] += c
-    return tuple(out)
-
-
-@lru_cache(maxsize=1 << 16)
-def _binomial_buckets(conductor: int, hbar_exp: int, l: int, m: int) -> tuple[int, ...]:
-    """(l+m choose l)_{x^hbar_exp} as a coefficient vector mod x^conductor - 1."""
-    # degree d lands in bucket d * hbar_exp mod conductor, which depends
-    # only on d mod period
-    poly = gauss_binomial_poly(l + m, l)
-    period = conductor // gcd(hbar_exp, conductor)
-    buckets = [0] * conductor
-    for r in range(min(period, len(poly))):
-        buckets[r * hbar_exp % conductor] = sum(poly[r::period])
-    return tuple(buckets)
-
 
 def _product_exponent(n: int, s: int, N: int, hbar_exp: int, i, l, j, m):
     """The E with coef(p(i,l) p(j,m)) = zeta_N^E (l+m choose l)_hbar in
@@ -113,11 +80,33 @@ class QuiverAlgebra:
         self.conductor = q_conductor(self.n, self.params.s)
         self._hb = root_exponent(self.hbar, self.conductor)
         self._exp_tables = None
+        # _binomials[t][k] = binomial(k, t - k), grown by `binomial`
+        self._binomials = [[(1,) + (0,) * (self.conductor - 1)]]
 
     @classmethod
     def build(cls, n: int, s: int, q: CycloNum) -> "QuiverAlgebra":
         params = CocycleParams.standard(n, s)
         return cls(build_bimodule(params, q))
+
+    def binomial(self, l: int, m: int) -> tuple[int, ...]:
+        """(l+m choose l)_hbar as an integer vector mod x^Q - 1: entry k
+        is the coefficient of zeta_Q^k.
+
+        The table grows one total t = l + m at a time by q-Pascal,
+        B(t, k) = B(t-1, k-1) + x^k B(t-1, k) with B(t, 0) = B(t, t) = 1,
+        pushed through the ring map x -> hbar = zeta_Q^hb; so each cell
+        is the Gaussian polynomial (l+m choose l)_x with its degree-r
+        coefficient added into entry r hb mod Q.
+        """
+        if l < 0 or m < 0:
+            raise ValueError("binomial needs l, m >= 0")
+        rows, hb = self._binomials, self._hb
+        while len(rows) <= l + m:
+            up = rows[-1]
+            rows.append([up[0]] + [
+                tuple(a + b for a, b in zip(up[k - 1], rotate(up[k], k * hb)))
+                for k in range(1, len(up))] + [up[0]])
+        return rows[l + m][l]
 
     # -- lattice accumulation of the thin-split sum ------------------------
 
@@ -194,7 +183,7 @@ class QuiverAlgebra:
         vector mod x^Q - 1."""
         n, s, Q, hb = self.n, self.params.s, self.conductor, self._hb
         e = _product_exponent(n, s, Q, hb, i, l, j, m)
-        return list(rotate(_binomial_buckets(Q, hb, l, m), e))
+        return list(rotate(self.binomial(l, m), e))
 
     def closed_form_product(self, p1: Path, p2: Path) -> tuple[CycloNum, Path]:
         """Scalar and target path of p_i^l . p_j^m by the closed formula;
@@ -235,7 +224,7 @@ class QuiverAlgebra:
         the bound, every pair of sources.
 
         Both sides are packed vectors in Z[x]/(x^Q - 1) with the lane
-        width of `_shuffle_grid`: the closed side is `_binomial_buckets`
+        width of `_shuffle_grid`: the closed side is `binomial(l, m)`
         packed once per (l, m) and rotated by `_product_exponent`, the
         same rule and table `closed_form_product` uses, and its lanes sum
         to binom(l+m, l) too.  Equal ints are equal vectors.  Only when
@@ -250,7 +239,7 @@ class QuiverAlgebra:
         T = max_total_length
         width = T + 1
         mask = (1 << width * Q) - 1
-        binomials = [[_pack_lanes(_binomial_buckets(Q, hb, l, m), width)
+        binomials = [[_pack_lanes(self.binomial(l, m), width)
                       for m in range(T + 1 - l)] for l in range(T + 1)]
         checked = 0
         for i in range(n):

@@ -11,7 +11,6 @@ from math import gcd
 import pytest
 
 import mqg.cyclo
-import mqg.shuffle
 from mqg.cyclo import CycloNum, root_of_unity
 from mqg.cocycle import (
     CocycleParams,
@@ -56,16 +55,10 @@ def _fresh_caches():
     criterion 02's sigma products (n <= 12), 3,576 after criterion 03's
     bimodule sweep (n <= 12).  But it is keyed by value, so what one
     criterion leaves in it decides the conductor of the products a later
-    one gets back; the integer q-binomial buckets of
-    `shuffle._binomial_buckets` grow with every conductor seen.
-    Clearing both between criteria makes each criterion compute, and
-    take, what it would in isolation.
+    one gets back.  Clearing it between criteria makes each criterion
+    compute, and take, what it would in isolation.
     """
-    for f in (
-        mqg.cyclo.cached_mul,
-        mqg.shuffle._binomial_buckets,
-    ):
-        f.cache_clear()
+    mqg.cyclo.cached_mul.cache_clear()
     yield
 
 

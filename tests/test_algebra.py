@@ -34,7 +34,7 @@ from mqg.algebra import (
 )
 import antipode_oracle
 import bialgebra_oracle
-from test_cyclo import cyclic_mul
+from test_cyclo import bucket, cyclic_mul, gauss_binomial_rows
 
 
 def _M(n, s, which=0):
@@ -196,6 +196,15 @@ def _first_coproduct_failure(engine):
     return None
 
 
+def _hbar_of_order_4_at_s_0():
+    """M(2, 1, zeta_4), whose hbar is zeta_4, with s moved to 0: the
+    engine reads hbar and its binomials from the family and s from M."""
+    M = _M(2, 1)
+    M.s = 0
+    assert (M.n, M.d, M.hbar) == (2, 4, root_of_unity(4))
+    return M
+
+
 def test_integer_engine_negative_control():
     # an inconsistent s: the reassociator no longer matches the products
     M = _M(3, 1)
@@ -208,11 +217,10 @@ def test_integer_engine_negative_control():
     assert not rep["passed"]
     assert rep["failed"] == "quasi-associativity"
     assert rep["witness"] == witness
-    # hbar of order 4 on the cycle of order 2 (d = 4): quasi-associativity
-    # fails first in the report, so the coproduct check is run on its own
-    M = _M(2, 0, which=1)
-    M.hbar, M.d = root_of_unity(4), 4
-    engine = _IntegerEngine(M)
+    # hbar of order 4 on the cycle of order 2 (d = 4) with s = 0:
+    # quasi-associativity fails first in the report, so the coproduct
+    # check is run on its own
+    engine = _IntegerEngine(_hbar_of_order_4_at_s_0())
     witness = engine.coproduct()
     assert witness is not None
     assert witness == _first_coproduct_failure(engine)
@@ -222,6 +230,23 @@ def test_integer_engine_negative_control():
 def _families(max_n):
     return [(n, s, which) for n in range(2, max_n + 1) for s in range(n)
             for which in range(len(legal_q_values(CocycleParams.standard(n, s))))]
+
+
+def test_engine_binomials_fold_the_gauss_polynomial():
+    # the family's vectors mod x^Q - 1 read at stride Q/N are the
+    # Gaussian polynomial folded at (N, hb_e), for every family n <= 6
+    # and every l + m <= 2d
+    engines = [_IntegerEngine(_M(*f)) for f in _families(6)]
+    top = max(2 * engine.d for engine in engines)
+    cells = 0
+    for t, row in enumerate(gauss_binomial_rows(top)):
+        for engine in engines:
+            if t <= 2 * engine.d:
+                for l, poly in enumerate(row):
+                    assert engine.binomial(l, t - l) == tuple(
+                        bucket(poly, engine.N, engine.hb_e)), (engine.n, l, t - l)
+                    cells += 1
+    assert cells == 73293
 
 
 @pytest.mark.parametrize("n,s,which", _families(4))
@@ -274,8 +299,7 @@ def test_object_dtype_sweeps_give_the_same_reports(monkeypatch):
     good, bad = _M(3, 1), _M(3, 1)
     bad.s = 2
     reports = [verify_quasi_bialgebra(M) for M in (good, bad)]
-    tampered = _M(2, 0, which=1)
-    tampered.hbar, tampered.d = root_of_unity(4), 4
+    tampered = _hbar_of_order_4_at_s_0()
     coproduct = _IntegerEngine(tampered).coproduct()
     assert coproduct is not None
     monkeypatch.setattr(algebra, "_INT64_BOUND", 0)
@@ -452,6 +476,39 @@ def test_import_rejects_tampering():
     doc = export_algebra(M)
     doc["s"] = True  # JSON true, not the integer 1
     with pytest.raises(ValueError):
+        import_algebra(json.dumps(doc))
+
+
+# an M(2, 1, zeta_4) dump (d = 4, dim = 8) edited so that it is too small
+# for the family it names
+_SHORT_DOCUMENTS = {
+    "n40-parameters-only": lambda doc: {"n": 40, "s": 0, "q_exp": 1,
+                                        "conductor": 40},
+    "d-float": lambda doc: {**doc, "d": 4.0},
+    "d-bool": lambda doc: {**doc, "d": True},
+    "dim-string": lambda doc: {**doc, "dim": "8"},
+    "dim-not-n-d": lambda doc: {**doc, "dim": 9},
+    "mult-object": lambda doc: {**doc, "mult": {}},
+    "mult-short": lambda doc: {**doc, "mult": doc["mult"][:-1]},
+    # the shape fits d = 5, the rebuilt family has d = 4
+    "d-rebuilt": lambda doc: {**doc, "d": 5, "dim": 10, "mult": [None] * 100},
+}
+
+
+@pytest.mark.parametrize("edit", _SHORT_DOCUMENTS.values(),
+                         ids=_SHORT_DOCUMENTS.keys())
+def test_import_rejects_a_document_too_small_for_its_family(
+        edit, monkeypatch):
+    # the shape is checked before the rebuild and d after it, so no
+    # product of the named family is computed and nothing is exported
+    doc = edit(export_algebra(_M(2, 1)))
+
+    def never(*args, **kwargs):
+        raise AssertionError("the document was compared by export")
+
+    monkeypatch.setattr(algebra, "export_algebra", never)
+    monkeypatch.setattr(MajidAlgebra, "product", never)
+    with pytest.raises(StructureError, match="disagrees"):
         import_algebra(json.dumps(doc))
 
 

@@ -25,12 +25,12 @@ def test_generator_actions():
     bim = build_bimodule(params, q)
     one = CycloNum.one()
     # g . X_i = X_{i+1}, with the wrap factor qq^s at i = n
-    assert bim.left_act(1, 1) == (one, 2)
-    assert bim.left_act(1, 2) == (one, 3)
-    assert bim.left_act(1, 3) == (params.qq, 1)
+    assert bim.left[(1, 1)] == (one, 2)
+    assert bim.left[(1, 2)] == (one, 3)
+    assert bim.left[(1, 3)] == (params.qq, 1)
     # X_i . g picks up the deformation scalar
     for i in range(1, 4):
-        c, j = bim.right_act(i, 1)
+        c, j = bim.right[(1, i)]
         assert c == bim.deformation and j == i % 3 + 1
 
 
@@ -39,8 +39,8 @@ def test_unit_acts_trivially():
     bim = build_bimodule(params, legal_q_values(params)[1])
     one = CycloNum.one()
     for i in range(1, 5):
-        assert bim.left_act(0, i) == (one, i)
-        assert bim.right_act(i, 0) == (one, i)
+        assert bim.left[(0, i)] == (one, i)
+        assert bim.right[(0, i)] == (one, i)
 
 
 def test_deformation_scalar():
@@ -84,7 +84,7 @@ def test_quasi_axioms_negative_control():
 def _quasi_axiom_oracle(bim):
     """quasi_axiom_check(bim, collect=True) as a plain loop over CycloNum
     products and Phi values, with no exponents."""
-    params = bim.params
+    params, left, right = bim.params, bim.left, bim.right
     n = params.n
     failures = []
 
@@ -96,31 +96,31 @@ def _quasi_axiom_oracle(bim):
         for e in range(n):
             for f in range(n):
                 # e.(f.m) = Phi(e,f,g)/Phi(e,f,h) (ef).m
-                c1, j1 = bim.left_act(f, i)
-                c2, j2 = bim.left_act(e, j1)
-                c3, j3 = bim.left_act(e + f, i)
+                c1, j1 = left[(f, i)]
+                c2, j2 = left[(e, j1)]
+                c3, j3 = left[((e + f) % n, i)]
                 ratio = phi(params, e, f, g_exp) / phi(params, e, f, h_exp)
                 if j2 != j3 or c1 * c2 != ratio * c3:
                     record("left", e, f, i)
                 # (m.e).f = Phi(h,e,f)/Phi(g,e,f) m.(ef)
-                c1, j1 = bim.right_act(i, e)
-                c2, j2 = bim.right_act(j1, f)
-                c3, j3 = bim.right_act(i, e + f)
+                c1, j1 = right[(e, i)]
+                c2, j2 = right[(f, j1)]
+                c3, j3 = right[((e + f) % n, i)]
                 ratio = phi(params, h_exp, e, f) / phi(params, g_exp, e, f)
                 if j2 != j3 or c1 * c2 != ratio * c3:
                     record("right", e, f, i)
                 # (e.m).f = Phi(e,h,f)/Phi(e,g,f) e.(m.f)
-                c1, j1 = bim.left_act(e, i)
-                c2, j2 = bim.right_act(j1, f)
-                c3, j3 = bim.right_act(i, f)
-                c4, j4 = bim.left_act(e, j3)
+                c1, j1 = left[(e, i)]
+                c2, j2 = right[(f, j1)]
+                c3, j3 = right[(f, i)]
+                c4, j4 = left[(e, j3)]
                 ratio = phi(params, e, h_exp, f) / phi(params, e, g_exp, f)
                 if j2 != j4 or c1 * c2 != ratio * (c3 * c4):
                     record("mixed", e, f, i)
         for a in range(n):
-            if bim.left_act(a, i)[1] % n != (i + a) % n:
+            if left[(a, i)][1] % n != (i + a) % n:
                 record("bicomodule-left", a, None, i)
-            if bim.right_act(i, a)[1] % n != (i + a) % n:
+            if right[(a, i)][1] % n != (i + a) % n:
                 record("bicomodule-right", a, None, i)
     return not failures, failures
 

@@ -67,6 +67,19 @@ def test_verify_rejects_tampered_dump(tmp_path, capsys):
                 "--json"]) == 1
 
 
+def test_verify_rejects_a_bare_family_before_building_it(tmp_path, capsys):
+    # 46 bytes naming M(40, 0, zeta_40), whose full comparison would take
+    # 2.56 M products: the same verdict and output, without them
+    dump = tmp_path / "m.json"
+    dump.write_text('{"n": 40, "s": 0, "q_exp": 1, "conductor": 40}')
+    error = "imported document disagrees with the rebuilt algebra"
+    assert run(["verify", "--import", str(dump)]) == 1
+    assert capsys.readouterr().out == f"FAIL: {error}\n"
+    assert run(["verify", "--import", str(dump), "--json"]) == 1
+    assert capsys.readouterr().out == json.dumps(
+        {"error": error, "passed": False}, sort_keys=True) + "\n"
+
+
 def test_product(capsys):
     assert run(["product", "--n", "2", "--s", "1", "--q-exp", "1",
                 "p(0,1)", "p(0,1)", "--json"]) == 0

@@ -20,7 +20,6 @@ from mqg.cyclo import (
     root_of_unity,
     rotate,
 )
-from mqg.shuffle import gauss_binomial_poly
 
 
 def test_minimal_polynomial_relations():
@@ -329,14 +328,47 @@ def cyclic_mul(a, b) -> list[int]:
     return out
 
 
-def test_cyclic_mul_is_product_then_bucketing():
-    # bucketing at x -> x^step is a ring map Z[x] -> Z[x]/(x^N - 1)
-    def bucket(poly, N, step):
-        out = [0] * N
-        for e, c in enumerate(poly):
-            out[e * step % N] += c
-        return out
+def gauss_binomial_rows(top: int):
+    """The rows t = 0..top of Gaussian binomials, row t the coefficient
+    tuples of (t choose k)_x for k = 0..t, by the q-Pascal recursion on
+    polynomials, (t choose k)_x = (t-1 choose k-1)_x + x^k (t-1 choose k)_x:
+    the reference for the folded vectors of `QuiverAlgebra.binomial`."""
+    row = [(1,)]
+    yield row
+    for t in range(1, top + 1):
+        up, row = row, [(1,)]
+        for k in range(1, t):
+            a, b = up[k - 1], up[k]  # b times x^k
+            out = [0] * max(len(a), len(b) + k)
+            for i, c in enumerate(a):
+                out[i] += c
+            for i, c in enumerate(b):
+                out[i + k] += c
+            row.append(tuple(out))
+        row.append((1,))
+        yield row
 
+
+def gauss_binomial_poly(total: int, k: int) -> tuple[int, ...]:
+    """Coefficients of the Gaussian binomial (total choose k)_x."""
+    if k < 0 or k > total:
+        return (0,)
+    for row in gauss_binomial_rows(total):
+        pass
+    return row[k]
+
+
+def bucket(poly, N, step) -> list[int]:
+    """poly(x^step) modulo x^N - 1: degree e goes to entry e * step mod
+    N, a ring map Z[x] -> Z[x]/(x^N - 1), and degrees congruent mod N
+    go to the same entry."""
+    out = [0] * N
+    for r in range(min(N, len(poly))):
+        out[r * step % N] += sum(poly[r::N])
+    return out
+
+
+def test_cyclic_mul_is_product_then_bucketing():
     for N in (1, 2, 3, 4, 6, 9, 16):
         for step in range(N):
             for l1, m1, l2, m2 in ((0, 0, 3, 2), (1, 1, 2, 2), (4, 3, 5, 1),

@@ -30,7 +30,7 @@ EXPORTS = {
                 "sigma_check", "sigma_report", "twisted_power",
                 "twisted_product_scalar"],
     "bimodule": ["ArrowBimodule", "build_bimodule", "quasi_axiom_check"],
-    "shuffle": ["CrossCheckReport", "QuiverAlgebra", "gauss_binomial_poly"],
+    "shuffle": ["CrossCheckReport", "QuiverAlgebra"],
     "corep": ["CycleModule", "FusionData", "IntervalModule",
               "NotAComoduleError", "brute_force_decompose",
               "brute_force_indecomposables", "comodule_tensor", "decompose",
@@ -149,3 +149,20 @@ def test_numpy_is_imported_in_two_places():
     found = {p.stem: _numpy_imports(p) for p in (SRC / "mqg").glob("*.py")}
     assert {k: v for k, v in found.items() if v} == {
         "algebra": [None], "corep": ["fp_dimension"]}
+
+
+def test_the_module_level_caches_are_pinned():
+    # every lru_cache a layer defines at module level: results and
+    # runtimes must not depend on what ran earlier in the process, so a
+    # new global cache needs a reason
+    found = set()
+    for path in (SRC / "mqg").glob("*.py"):
+        module = importlib.import_module(f"mqg.{path.stem}")
+        for name, value in vars(module).items():
+            if (hasattr(value, "cache_info")
+                    and value.__module__ == module.__name__):
+                found.add(f"{path.stem}.{name}")
+    assert found == {f"cyclo.{name}" for name in (
+        "_factorize", "euler_phi", "mobius", "_divisors",
+        "cyclotomic_polynomial", "_phi_reduction_data", "_trace_zeta",
+        "root_of_unity", "_roots_at", "cached_mul")}

@@ -7,16 +7,27 @@ import pytest
 
 from mqg.cyclo import CycloNum, _reduce_mod_phi, int_vec_zero_mod_phi, rotate
 from mqg.cocycle import CocycleParams, legal_q_values
-from mqg import shuffle
 from mqg.quiver import Path, PathVector, thin_splits
 from mqg.shuffle import (
     CrossCheckReport,
     QuiverAlgebra,
-    _binomial_buckets,
     _unpack_lanes,
-    gauss_binomial_poly,
 )
-from test_cyclo import cyclic_mul
+from test_cyclo import bucket, cyclic_mul, gauss_binomial_poly, gauss_binomial_rows
+
+
+def _families(max_n):
+    """QuiverAlgebra of every family with n <= max_n."""
+    for n in range(2, max_n + 1):
+        for s in range(n):
+            for q in legal_q_values(CocycleParams.standard(n, s)):
+                yield QuiverAlgebra.build(n, s, q)
+
+
+def _at(Q, hb):
+    """A family whose binomials are taken at conductor Q and hbar =
+    zeta_Q^hb."""
+    return next(A for A in _families(6) if (A.conductor, A._hb) == (Q, hb))
 
 
 def test_gauss_binomial_poly():
@@ -33,30 +44,44 @@ def test_gauss_binomial_poly():
 
 def test_gauss_binomial_at_roots():
     # (4 choose 2) at a primitive 4th root vanishes (q-Lucas)
-    assert not any(_reduce_mod_phi(_binomial_buckets(4, 1, 2, 2), 4))
+    A = _at(4, 1)
+    assert not any(_reduce_mod_phi(A.binomial(2, 2), 4))
     # (2 choose 1) at zeta_4 is 1 + zeta_4
-    assert _reduce_mod_phi(_binomial_buckets(4, 1, 1, 1), 4) == (1, 1)
-    assert _binomial_buckets(1, 0, 3, 2) == (10,)  # at 1: comb(5, 2)
+    assert _reduce_mod_phi(A.binomial(1, 1), 4) == (1, 1)
+    # at hbar = 1: comb(5, 2), all in entry 0
+    assert _at(2, 0).binomial(3, 2) == (10, 0)
     # [3]_{zeta_3} = 0
-    assert not any(_reduce_mod_phi(_binomial_buckets(3, 1, 2, 1), 3))
+    assert not any(_reduce_mod_phi(_at(3, 1).binomial(2, 1), 3))
 
 
-def test_binomial_buckets_fold_the_gauss_polynomial():
-    # degree d of (l+m choose l)_x goes to bucket d * hbar_exp mod N
-    for N in (1, 2, 4, 9, 12, 16):
-        for hb in range(N + 2):
-            for l in range(9):
-                for m in range(9):
-                    want = [0] * N
-                    for d, c in enumerate(gauss_binomial_poly(l + m, l)):
-                        want[d * hb % N] += c
-                    assert _binomial_buckets(N, hb, l, m) == tuple(want)
+def test_family_binomials_fold_the_gauss_polynomial():
+    # degree r of (l+m choose l)_x goes to entry r * hb mod Q, for every
+    # family n <= 6 and every l + m <= 2d
+    algebras = list(_families(6))
+    top = max(2 * A.hbar.mult_order() for A in algebras)
+    cells = 0
+    for t, row in enumerate(gauss_binomial_rows(top)):
+        for A in algebras:
+            if t <= 2 * A.hbar.mult_order():
+                for l, poly in enumerate(row):
+                    assert A.binomial(l, t - l) == tuple(
+                        bucket(poly, A.conductor, A._hb)), (A.n, l, t - l)
+                    cells += 1
+    assert cells == 73293
+
+
+def test_binomial_rejects_a_negative_length():
+    A = _at(4, 1)
+    for l, m in ((-1, 0), (0, -1), (-1, 1)):
+        with pytest.raises(ValueError, match="l, m >= 0"):
+            A.binomial(l, m)
 
 
 def test_gauss_scalar():
     # at zeta_5: [k] = 1 + x + ... + x^(k-1) and [k]! = [1] [2] ... [k],
     # as integer vectors mod x^5 - 1
     N = 5
+    A = _at(N, 1)
 
     def integer(k):
         vec = [0] * N
@@ -76,11 +101,11 @@ def test_gauss_scalar():
     assert not any(_reduce_mod_phi(integer(5), N))
     assert equal(factorial(0), integer(1))
     assert equal(factorial(2), integer(2))
-    assert equal(_binomial_buckets(N, 1, 2, 1), integer(3))
+    assert equal(A.binomial(2, 1), integer(3))
     # binom(l+m, l) [l]! [m]! = [l+m]!
     for l in range(4):
         for m in range(4):
-            lhs = cyclic_mul(cyclic_mul(_binomial_buckets(N, 1, l, m),
+            lhs = cyclic_mul(cyclic_mul(A.binomial(l, m),
                                         factorial(l)), factorial(m))
             assert equal(lhs, factorial(l + m)), (l, m)
 
@@ -130,9 +155,9 @@ def _thin_split_sum(A, p1, p2):
         scal = CycloNum.one()
         for u, v in zip(segs1, segs2):
             if u.length:
-                c, _ = A.bimodule.right_act(u.source + 1, v.source)
+                c, _ = A.bimodule.right[(v.source % n, u.source + 1)]
             else:
-                c, _ = A.bimodule.left_act(u.source, v.source + 1)
+                c, _ = A.bimodule.left[(u.source % n, v.source + 1)]
             scal = scal * c
         total = total + scal
     return total
@@ -267,12 +292,12 @@ def test_cross_check_reduces_a_packed_difference_mod_phi(monkeypatch):
     # one more in every bucket adds the sum of all Q-th roots of unity,
     # zero for Q > 1: the packed ints differ, the scalars do not.  One
     # more in bucket 0 only is a real difference.
-    original = shuffle._binomial_buckets
+    original = QuiverAlgebra.binomial
     for n, s in ((2, 0), (2, 1), (3, 2)):
         q = legal_q_values(CocycleParams.standard(n, s))[-1]
         for shift, passes in ((lambda v: [c + 1 for c in v], True),
                               (lambda v: [v[0] + 1] + list(v[1:]), False)):
-            monkeypatch.setattr(shuffle, "_binomial_buckets",
+            monkeypatch.setattr(QuiverAlgebra, "binomial",
                                 lambda *a: tuple(shift(original(*a))))
             A = QuiverAlgebra.build(n, s, q)
             T = 2 * A.hbar.mult_order()
