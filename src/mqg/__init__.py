@@ -5,7 +5,8 @@ corepresentation categories.
 The package namespace is lazy (PEP 562): `import mqg` loads no layer, and
 the first use of an exported name, as `mqg.X` or `from mqg import X`,
 imports the one submodule that defines it.  numpy arrives only with
-mqg.algebra and inside mqg.corep.fp_dimension.
+mqg.algebra, the axiom sweeps of `verify_quasi_bialgebra`, and inside
+mqg.corep.fp_dimension; the algebra itself is mqg.majid, which loads none.
 """
 import importlib
 
@@ -72,7 +73,7 @@ _EXPORTS = {
         "tensor_consistency_check",
         "uniserial_check",
     ),
-    "algebra": (
+    "majid": (
         "ClassificationEntry",
         "MajidAlgebra",
         "TruncationError",
@@ -84,8 +85,8 @@ _EXPORTS = {
         "generation_check",
         "import_algebra",
         "solve_antipode",
-        "verify_quasi_bialgebra",
     ),
+    "algebra": ("verify_quasi_bialgebra",),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
 

@@ -23,7 +23,7 @@ from .cyclo import (ConductorLimitError, StructureError, max_conductor,
                     root_of_unity)
 
 if TYPE_CHECKING:
-    from .algebra import MajidAlgebra
+    from .majid import MajidAlgebra
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -32,9 +32,9 @@ VERIFY_ERROR = 1
 def _build_from_args(args) -> MajidAlgebra:
     from .cocycle import q_conductor
 
-    # q first: a conductor above the bound exits before algebra loads
+    # q first: a conductor above the bound exits before majid loads
     q = root_of_unity(q_conductor(args.n, args.s), args.q_exp)
-    from .algebra import MajidAlgebra
+    from .majid import MajidAlgebra
 
     return MajidAlgebra.build(args.n, args.s, q)
 
@@ -47,7 +47,7 @@ def _emit(args, doc: dict, human: str) -> None:
 
 
 def cmd_classify(args) -> int:
-    from .algebra import classify
+    from .majid import classify
 
     entries = classify(args.n)
     if args.json:
@@ -65,7 +65,7 @@ def cmd_classify(args) -> int:
 def cmd_build(args) -> int:
     M = _build_from_args(args)
     if args.export:
-        from .algebra import export_algebra
+        from .majid import export_algebra
 
         with open(args.export, "w") as fh:
             fh.write(export_algebra(M, "json"))
@@ -75,8 +75,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .algebra import (import_algebra, solve_antipode,
-                          verify_quasi_bialgebra)
+    from .majid import import_algebra
 
     if args.import_file:
         try:
@@ -89,13 +88,16 @@ def cmd_verify(args) -> int:
         M = _build_from_args(args)
     report = {"passed": True}
     if args.suite in ("bialgebra", "all"):
+        # numpy loads with the sweeps, only for the suites that run them
+        from .algebra import verify_quasi_bialgebra
+
         rep = verify_quasi_bialgebra(M)
         report["bialgebra"] = rep
         if not rep["passed"]:
             report["passed"] = False
     if report["passed"] and args.suite in ("antipode", "all"):
         try:
-            solve_antipode(M)
+            M.antipode()  # an imported M solved it for the comparison
             report["antipode"] = {"passed": True}
         except StructureError as exc:
             report["antipode"] = {"passed": False, "error": str(exc)}
@@ -174,7 +176,7 @@ def cmd_decompose(args) -> int:
 
 
 def _load_algebra(path: str) -> MajidAlgebra:
-    from .algebra import import_algebra
+    from .majid import import_algebra
 
     with open(path) as fh:
         return import_algebra(fh.read())
@@ -208,7 +210,7 @@ def cmd_fpdim(args) -> int:
 
 
 def cmd_export(args) -> int:
-    from .algebra import export_algebra
+    from .majid import export_algebra
 
     M = _build_from_args(args)
     text = export_algebra(M, "json")

@@ -27,7 +27,7 @@ from .cyclo import CycloNum, max_conductor
 from .quiver import Path, PathVector
 
 if TYPE_CHECKING:
-    from .algebra import MajidAlgebra
+    from .majid import MajidAlgebra
 
 __all__ = [
     "CycleModule",

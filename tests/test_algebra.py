@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from mqg import algebra
+from mqg import algebra, majid
 from mqg.cyclo import (
     CycloNum,
     _reduce_mod_phi,
@@ -16,10 +16,10 @@ from mqg.cyclo import (
 )
 from mqg.cocycle import CocycleParams, legal_q_values, q_conductor
 from mqg.quiver import Path, PathVector
+from mqg.shuffle import QuiverAlgebra
 from mqg.algebra import (
     MajidAlgebra,
     _IntegerEngine,
-    _verify_antipode,
     StructureError,
     TruncationError,
     admissible_truncations,
@@ -32,6 +32,7 @@ from mqg.algebra import (
     solve_antipode,
     verify_quasi_bialgebra,
 )
+from mqg.majid import _verify_antipode
 import antipode_oracle
 import bialgebra_oracle
 from test_cyclo import bucket, cyclic_mul, gauss_binomial_rows
@@ -452,6 +453,15 @@ def test_export_import_round_trip():
     assert export_algebra(M2, "json") == text
 
 
+def test_export_keeps_no_product():
+    # the export reads each of the dim^2 products once, so it reads them
+    # past the memo of MajidAlgebra.product
+    M = _M(3, 1)
+    M.product(Path(3, 1, 2), Path(3, 2, 3))
+    export_algebra(M, "json")
+    assert len(M._prod) == 1
+
+
 @pytest.mark.parametrize("n,s,q", [
     (3, 1, CycloNum(9, [0, 1])),  # zeta_9 with no root tag
     (3, 1, root_of_unity(18, 2)),  # zeta_9 at conductor 18
@@ -506,8 +516,8 @@ def test_import_rejects_a_document_too_small_for_its_family(
     def never(*args, **kwargs):
         raise AssertionError("the document was compared by export")
 
-    monkeypatch.setattr(algebra, "export_algebra", never)
-    monkeypatch.setattr(MajidAlgebra, "product", never)
+    monkeypatch.setattr(majid, "export_algebra", never)
+    monkeypatch.setattr(QuiverAlgebra, "closed_form_product", never)
     with pytest.raises(StructureError, match="disagrees"):
         import_algebra(json.dumps(doc))
 
@@ -531,10 +541,10 @@ print(export_algebra(MajidAlgebra.build(2, 1, root_of_unity(4)), "json"))
 """
 
 
-def _run_dump(*args, stdin=None):
+def _run_dump(*args, stdin=None, code=_DUMP_ALGEBRA):
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
-    proc = subprocess.run([sys.executable, "-c", _DUMP_ALGEBRA, *args],
+    proc = subprocess.run([sys.executable, "-c", code, *args],
                           env={**os.environ, "PYTHONPATH": src}, input=stdin,
                           capture_output=True, text=True, timeout=300)
     if proc.returncode:
@@ -547,6 +557,22 @@ def test_export_does_not_depend_on_earlier_calls():
     after = _run_dump("after")
     assert after == fresh
     _run_dump("import", stdin=after)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_export_peak_rss_is_bounded():
+    # M(6, 1, zeta_36): 46,656 products; the export peaked at 62 MB when
+    # this bound was set at twice that.  VmHWM is the peak of this image
+    # alone, where ru_maxrss would also count the forked test runner
+    peak_kib = int(_run_dump(code="""
+from mqg.cyclo import root_of_unity
+from mqg.majid import MajidAlgebra, export_algebra
+export_algebra(MajidAlgebra.build(6, 1, root_of_unity(36)), "json")
+with open("/proc/self/status") as fh:
+    print(next(l.split()[1] for l in fh if l.startswith("VmHWM:")))
+"""))
+    assert peak_kib < 124 * 1024
 
 
 def test_build_helper():

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mqg import MajidAlgebra, export_algebra, root_of_unity
+from mqg import (MajidAlgebra, StructureError, export_algebra, majid,
+                 root_of_unity, verify_quasi_bialgebra)
 from mqg.cli import run
 
 
@@ -44,6 +45,39 @@ def test_build_and_export_round_trip(tmp_path, capsys):
     assert run(["verify", "--import", str(dump), "--json"]) == 0
     rep = json.loads(_out(capsys))
     assert rep["passed"] and rep["antipode"]["passed"]
+
+
+def test_verify_solves_the_antipode_once(tmp_path, capsys, monkeypatch):
+    # the import solves and checks the antipode for its comparison, and
+    # the antipode suite reads that table
+    dump = tmp_path / "m.json"
+    assert run(["export", "--n", "3", "--s", "1", "--q-exp", "1",
+                "--out", str(dump)]) == 0
+    _out(capsys)
+    solve, solved = majid.solve_antipode, []
+    monkeypatch.setattr(majid, "solve_antipode",
+                        lambda M: solved.append(M) or solve(M))
+    assert run(["verify", "--import", str(dump), "--json"]) == 0
+    assert json.loads(_out(capsys))["antipode"] == {"passed": True}
+    assert len(solved) == 1
+
+
+def test_verify_reports_a_failed_antipode(capsys, monkeypatch):
+    def fail(M):
+        raise StructureError("no antipode")
+
+    monkeypatch.setattr(majid, "solve_antipode", fail)
+    family = ["--n", "2", "--s", "1", "--q-exp", "1"]
+    assert run(["verify", *family, "--json"]) == 1
+    assert capsys.readouterr().out == json.dumps(
+        {"antipode": {"error": "no antipode", "passed": False},
+         "bialgebra": verify_quasi_bialgebra(
+             MajidAlgebra.build(2, 1, root_of_unity(4))),
+         "passed": False}, sort_keys=True) + "\n"
+    assert run(["verify", *family, "--suite", "antipode"]) == 1
+    report = {"passed": False,
+              "antipode": {"passed": False, "error": "no antipode"}}
+    assert capsys.readouterr().out == f"verification failed: {report}\n"
 
 
 def test_verify_inline(capsys):

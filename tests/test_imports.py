@@ -1,5 +1,5 @@
 """Which layers each entry point loads.  `import mqg` loads none, `import
-mqg.cli` loads cyclo only, and the commands that need no algebra never
+mqg.cli` loads cyclo only, and the commands that run no axiom sweep never
 load numpy.  Checked in fresh interpreters, since this process has
 imported everything already."""
 import ast
@@ -37,11 +37,11 @@ EXPORTS = {
               "direct_sum", "fp_dimension", "fusion_data", "hom_dim",
               "indecomposables", "is_indecomposable", "random_module",
               "tensor_consistency_check", "uniserial_check"],
-    "algebra": ["ClassificationEntry", "MajidAlgebra", "StructureError",
-                "TruncationError", "admissible_truncations", "build",
-                "build_truncated", "classify", "export_algebra",
-                "generation_check", "import_algebra", "solve_antipode",
-                "verify_quasi_bialgebra"],
+    "majid": ["ClassificationEntry", "MajidAlgebra", "StructureError",
+              "TruncationError", "admissible_truncations", "build",
+              "build_truncated", "classify", "export_algebra",
+              "generation_check", "import_algebra", "solve_antipode"],
+    "algebra": ["verify_quasi_bialgebra"],
 }
 
 
@@ -76,25 +76,48 @@ def test_import_cli_loads_only_cyclo():
     assert "numpy" not in added
 
 
-def _module_file(tmp_path):
+def _input_files(tmp_path):
+    """A module file, an M(2, 1, zeta_4) dump and that dump tampered, as
+    tests/test_cli.py tampers it."""
     from mqg.corep import IntervalModule, direct_sum
+    from mqg.majid import MajidAlgebra, export_algebra
+    from mqg.cyclo import root_of_unity
     M = direct_sum([IntervalModule(2, 4, 0, 2).realize(),
                     IntervalModule(2, 4, 1, 1).realize()])
-    path = tmp_path / "mod.json"
-    path.write_text(json.dumps(M.to_json()))
-    return str(path)
+    files = {"module": tmp_path / "mod.json", "alg": tmp_path / "alg.json",
+             "bad": tmp_path / "bad.json", "out": tmp_path / "out.json"}
+    files["module"].write_text(json.dumps(M.to_json()))
+    doc = export_algebra(MajidAlgebra.build(2, 1, root_of_unity(4)))
+    files["alg"].write_text(json.dumps(doc))
+    doc["mult"][3]["coeff"]["num"][0] += 1
+    files["bad"].write_text(json.dumps(doc))
+    return {k: str(v) for k, v in files.items()}
+
+
+_FAMILY = ["--n", "2", "--s", "1", "--q-exp", "1"]
 
 
 @pytest.mark.parametrize("argv, code", [
     (["cocycle", "--n", "6", "--s", "1"], 0),
     (["indec", "--n", "3", "--d", "3", "--json"], 0),
-    (["decompose", "--in", None, "--json"], 0),
-    # the conductor 120^2 is refused before mqg.algebra is imported
+    (["decompose", "--in", "{module}", "--json"], 0),
+    # the conductor 120^2 is refused before mqg.majid is imported
     (["build", "--n", "120", "--s", "1", "--q-exp", "1", "--json"], 2),
+    # these build or read an algebra but run no axiom sweep
+    (["classify", "--n", "3", "--json"], 0),
+    (["build", *_FAMILY, "--export", "{out}", "--json"], 0),
+    (["export", *_FAMILY, "--out", "{out}", "--json"], 0),
+    (["product", *_FAMILY, "p(1,1)", "p(0,2)", "--json"], 0),
+    (["tensor", "--alg", "{alg}", "--left", "I(0,2)", "--right", "I(1,3)",
+      "--json"], 0),
+    (["verify", *_FAMILY, "--suite", "antipode", "--json"], 0),
+    (["verify", "--import", "{bad}", "--json"], 1),
+    (["fpdim", "--alg", "{bad}", "--object", "I(0,2)", "--json"], 1),
 ])
 def test_commands_without_an_algebra_leave_numpy_unloaded(argv, code,
                                                           tmp_path):
-    argv = [_module_file(tmp_path) if a is None else a for a in argv]
+    files = _input_files(tmp_path)
+    argv = [a.format(**files) for a in argv]
     result = _fresh(
         "import contextlib, io, json, sys\n"
         "from mqg.cli import run\n"
@@ -105,14 +128,32 @@ def test_commands_without_an_algebra_leave_numpy_unloaded(argv, code,
     assert result == [code, False]
 
 
+def test_the_first_verification_imports_nothing():
+    # numpy and everything the sweeps use are loaded by `import
+    # mqg.algebra`, so the first call costs what later calls cost
+    added = _fresh(
+        "import json, sys\n"
+        "import mqg.algebra as algebra\n"
+        "from mqg.cyclo import root_of_unity\n"
+        "M = algebra.MajidAlgebra.build(3, 1, root_of_unity(9))\n"
+        "before = set(sys.modules)\n"
+        "assert algebra.verify_quasi_bialgebra(M)['passed']\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    assert added == []
+
+
 def test_every_export_resolves_to_its_layer():
     for layer, names in EXPORTS.items():
         module = importlib.import_module(f"mqg.{layer}")
         for name in names:
             assert getattr(mqg, name) is getattr(module, name), name
-    # algebra re-exports the exception that cyclo defines
+    # majid re-exports the exception that cyclo defines, and algebra
+    # re-exports majid's names
     assert mqg.StructureError is importlib.import_module(
         "mqg.cyclo").StructureError
+    algebra = importlib.import_module("mqg.algebra")
+    for name in EXPORTS["majid"]:
+        assert getattr(algebra, name) is getattr(mqg, name), name
     assert sorted(mqg.__all__) == sorted(
         name for names in EXPORTS.values() for name in names)
     assert dir(mqg) == sorted(mqg.__all__)
