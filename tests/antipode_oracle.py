@@ -1,12 +1,12 @@
 """The quasi-antipode solved and verified in CycloNum arithmetic.
 
-An oracle for `mqg.algebra.solve_antipode`, which works on integer
+An oracle for `mqg.majid.solve_antipode`, which works on integer
 vectors and root-of-unity exponents: this module knows nothing of that
 encoding.  It solves the first antipode equation degree by degree with
 field division and checks every antipode identity with PathVector
 products, the reassociator and alpha/beta of the algebra.
 """
-from mqg.algebra import MajidAlgebra, StructureError
+from mqg.majid import MajidAlgebra, StructureError
 from mqg.cyclo import CycloNum
 from mqg.quiver import Path, PathVector
 
