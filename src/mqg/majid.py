@@ -6,8 +6,8 @@ scalar hbar.  The multiplication is the closed product formula; the
 truncation at length d is not imposed but emerges from the vanishing of
 the Gaussian binomials, so M is genuinely closed under the ambient
 product.  The algebra, its integer encoding, quasi-antipode solving, the
-family enumerator and JSON import/export live here, on plain integers:
-this module loads no numpy.  The axiom sweeps are in mqg.algebra.
+family enumerator and JSON import/export live here, and this module
+loads no numpy.  The axiom sweeps, which do, are in mqg.algebra.
 """
 from __future__ import annotations
 
