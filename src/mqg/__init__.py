@@ -24,15 +24,10 @@ _EXPORTS = {
         "root_of_unity",
     ),
     "quiver": (
-        "FiniteGroup",
         "Path",
         "PathVector",
-        "Quiver",
-        "RamificationDatum",
         "comultiply",
         "counit",
-        "hopf_quiver",
-        "is_connected",
         "parse_path",
         "thin_splits",
     ),
@@ -42,15 +37,12 @@ _EXPORTS = {
         "action_scalar",
         "legal_q_values",
         "one_dim_modules",
-        "pentagon_check",
         "pentagon_report",
         "phi",
         "phi_exponent",
         "sigma",
-        "sigma_check",
         "sigma_report",
         "twisted_power",
-        "twisted_product_scalar",
     ),
     "bimodule": ("ArrowBimodule", "build_bimodule", "quasi_axiom_check"),
     "shuffle": ("CrossCheckReport", "QuiverAlgebra"),

@@ -16,13 +16,10 @@ __all__ = [
     "OneDimModule",
     "phi",
     "phi_exponent",
-    "pentagon_check",
     "pentagon_report",
     "sigma",
-    "sigma_check",
     "sigma_report",
     "twisted_power",
-    "twisted_product_scalar",
     "one_dim_modules",
     "legal_q_values",
     "q_conductor",
@@ -79,10 +76,6 @@ def sigma(params: CocycleParams, i: int, j: int) -> CycloNum:
     return num / den
 
 
-def pentagon_check(params: CocycleParams, phi_table=None) -> bool:
-    return pentagon_report(params, phi_table)["passed"]
-
-
 def pentagon_report(params: CocycleParams, phi_table=None) -> dict:
     """Exhaustive pentagon identity and normalization check.
 
@@ -124,10 +117,6 @@ def pentagon_report(params: CocycleParams, phi_table=None) -> dict:
     return {"passed": True, "counterexample": None}
 
 
-def sigma_check(params: CocycleParams) -> bool:
-    return sigma_report(params)["passed"]
-
-
 def sigma_report(params: CocycleParams) -> dict:
     """Exhaustive 2-cocycle identity for sigma_s, plus consistency of the
     iterated twisted products of g with the twisted-power scalar."""
@@ -148,11 +137,6 @@ def sigma_report(params: CocycleParams) -> dict:
             return {"passed": False, "counterexample": [i],
                     "reason": "twisted-power"}
     return {"passed": True, "counterexample": None}
-
-
-def twisted_product_scalar(params: CocycleParams, i: int, j: int) -> CycloNum:
-    """Scalar c with g^i * g^j = c g^(i+j) in the twisted group algebra."""
-    return sigma(params, i % params.n, j % params.n)
 
 
 def twisted_power(params: CocycleParams, i: int) -> CycloNum:

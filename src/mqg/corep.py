@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .cyclo import CycloNum, max_conductor
-from .quiver import Path, PathVector
+from .quiver import Path
 
 if TYPE_CHECKING:
     from .majid import MajidAlgebra
@@ -223,9 +223,15 @@ class CycleModule:
     @classmethod
     def from_json(cls, doc: dict) -> "CycleModule":
         """Inverse of to_json; a document of the wrong shape raises
-        ValueError, as does a d outside 1..max_conductor(): the module
-        keeps n (d + 1) composite matrices."""
-        d = doc.get("d") if isinstance(doc, dict) else None
+        ValueError, as does an n below 2 (no cycle) or a d outside
+        1..max_conductor(): the module keeps n (d + 1) composite
+        matrices."""
+        if not isinstance(doc, dict):
+            doc = {}
+        n, d = doc.get("n"), doc.get("d")
+        if type(n) is not int or n < 2:
+            raise ValueError(f"malformed module document: n must be an "
+                             f"integer >= 2, got {n!r}")
         if type(d) is not int or not 1 <= d <= max_conductor():
             raise ValueError(f"malformed module document: d must be an "
                              f"integer in 1..{max_conductor()}, got {d!r}")
@@ -234,7 +240,7 @@ class CycleModule:
                 [[CycloNum.from_json(x) for x in row] for row in mat]
                 for mat in doc["arrows"]
             ]
-            return cls(doc["n"], doc["d"], doc["dims"], arrows)
+            return cls(n, d, doc["dims"], arrows)
         except (TypeError, KeyError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed module document: {exc!r}") from exc
 

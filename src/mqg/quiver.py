@@ -1,192 +1,29 @@
-"""Finite groups, ramification data, Hopf quivers and the path coalgebra.
+"""Paths on the basic cycle and the path coalgebra.
 
-General quivers carry explicit arrow lists and only feed
-:func:`hopf_quiver` / :func:`is_connected`.  Everything downstream of
-the classification lives on the basic cycle, where a path is just a
-(source, length) pair.
+The basic cycle of order n has vertices 0..n-1 and one arrow i -> i+1,
+so a path is just a (source, length) pair.  That the Hopf quiver of a
+finite-type Majid algebra is a basic cycle is a step of the paper's
+proof, not a computation: no general quiver is built here.
+:func:`thin_splits` enumerates the thin splits explicitly; the tests
+sum over them as the oracle for mqg.shuffle's closed product formula.
 """
 from __future__ import annotations
 
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 
 from .cyclo import CycloNum
 
 __all__ = [
-    "FiniteGroup",
-    "RamificationDatum",
-    "Quiver",
     "Path",
     "PathVector",
-    "hopf_quiver",
-    "is_connected",
     "comultiply",
     "counit",
     "thin_splits",
     "parse_path",
 ]
-
-
-class FiniteGroup:
-    """A finite group given by its Cayley table; element 0 is the unit."""
-
-    def __init__(self, table):
-        table = tuple(tuple(row) for row in table)
-        n = len(table)
-        for row in table:
-            if len(row) != n or any(not (0 <= x < n) for x in row):
-                raise ValueError("Cayley table is not square over 0..n-1")
-        if any(table[0][j] != j or table[j][0] != j for j in range(n)):
-            raise ValueError("element 0 is not a two-sided unit")
-        for i in range(n):
-            if sorted(table[i]) != list(range(n)) or sorted(
-                table[j][i] for j in range(n)
-            ) != list(range(n)):
-                raise ValueError("Cayley table rows/columns are not permutations")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if table[table[i][j]][k] != table[i][table[j][k]]:
-                        raise ValueError("Cayley table is not associative")
-        self.table = table
-        self.order = n
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.table[a].index(0)
-
-    @classmethod
-    def cyclic(cls, n: int) -> "FiniteGroup":
-        return cls([[(i + j) % n for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def symmetric(cls, n: int) -> "FiniteGroup":
-        perms = sorted(itertools.permutations(range(n)))
-        index = {p: i for i, p in enumerate(perms)}
-        # ensure identity is element 0
-        assert index[tuple(range(n))] == 0
-        table = [
-            [index[tuple(p[q[k]] for k in range(n))] for q in perms] for p in perms
-        ]
-        return cls(table)
-
-    @cached_property
-    def conjugacy_classes(self) -> tuple[frozenset, ...]:
-        seen = set()
-        classes = []
-        for x in range(self.order):
-            if x in seen:
-                continue
-            orbit = {self.mul(self.mul(g, x), self.inv(g)) for g in range(self.order)}
-            seen |= orbit
-            classes.append(frozenset(orbit))
-        return tuple(classes)
-
-    def generated_subgroup(self, gens) -> frozenset:
-        sub = {0}
-        frontier = set(gens)
-        while frontier:
-            sub |= frontier
-            frontier = {
-                self.mul(a, b) for a in sub for b in sub
-            } - sub
-        return frozenset(sub)
-
-
-class RamificationDatum:
-    """Non-negative integer coefficients on the conjugacy classes of a group."""
-
-    def __init__(self, group: FiniteGroup, coefficients: dict):
-        classes = set(group.conjugacy_classes)
-        if set(coefficients) != classes:
-            raise ValueError("coefficient keys must be exactly the conjugacy classes")
-        if any(v < 0 for v in coefficients.values()):
-            raise ValueError("ramification coefficients must be non-negative")
-        self.group = group
-        self.coefficients = dict(coefficients)
-
-    @classmethod
-    def on_class_of(cls, group: FiniteGroup, element: int, mult: int = 1):
-        coeffs = {c: 0 for c in group.conjugacy_classes}
-        for c in group.conjugacy_classes:
-            if element in c:
-                coeffs[c] = mult
-        return cls(group, coeffs)
-
-    @classmethod
-    def zero(cls, group: FiniteGroup):
-        return cls(group, {c: 0 for c in group.conjugacy_classes})
-
-
-@dataclass(frozen=True)
-class Quiver:
-    vertices: tuple
-    arrows: tuple  # (source, target, multiplicity-index)
-    hopf_data: tuple | None = None  # (group, datum) when built by hopf_quiver
-
-    def __post_init__(self):
-        vs = set(self.vertices)
-        for s, t, _ in self.arrows:
-            if s not in vs or t not in vs:
-                raise ValueError(f"arrow ({s},{t}) endpoints not in vertex set")
-
-
-def hopf_quiver(group: FiniteGroup, datum: RamificationDatum) -> Quiver:
-    """Q(G, R): for each x in G, each class C and c in C, R_C arrows x -> cx."""
-    if datum.group is not group:
-        raise ValueError("ramification datum belongs to a different group")
-    arrows = []
-    for x in range(group.order):
-        for cls_, mult in datum.coefficients.items():
-            for c in sorted(cls_):
-                for k in range(mult):
-                    arrows.append((x, group.mul(c, x), k))
-    return Quiver(tuple(range(group.order)), tuple(arrows), hopf_data=(group, datum))
-
-
-def is_connected(q: Quiver) -> bool:
-    """Connectivity of the underlying undirected graph.
-
-    For quivers built by :func:`hopf_quiver` the result is cross-checked
-    against the group-generation criterion.
-    """
-    if not q.vertices:
-        return True
-    adj = {v: set() for v in q.vertices}
-    for s, t, _ in q.arrows:
-        adj[s].add(t)
-        adj[t].add(s)
-    seen = {q.vertices[0]}
-    stack = [q.vertices[0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    graph_connected = len(seen) == len(q.vertices)
-    if q.hopf_data is not None:
-        group, datum = q.hopf_data
-        gens = set()
-        for cls_, mult in datum.coefficients.items():
-            if mult:
-                gens |= cls_
-        criterion = group.generated_subgroup(gens) == frozenset(range(group.order))
-        if criterion != graph_connected:
-            raise AssertionError(
-                "graph connectivity disagrees with the generation criterion"
-            )
-    return graph_connected
-
-
-# ---------------------------------------------------------------------------
-# paths on the basic cycle Z^n
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 Two independent evaluation routes exist for products of paths:
 
-* the thin-split sum, accumulated along lattice paths: the sum over the
-  thin splits of `quiver.thin_splits`, grouped by how many arrows of
-  each factor have been consumed (exact and polynomial-time).  It does
-  not know the closed form.
+* the thin-split sum, accumulated along lattice paths: the thin splits
+  are grouped by how many arrows of each factor have been consumed, so
+  none is enumerated (exact and polynomial-time; the explicit sum over
+  `quiver.thin_splits` is a test oracle).  It does not know the closed
+  form.
 * the closed product formula: coef(p(i,l) p(j,m)) is a root of unity
   zeta_N^E(i,l,j,m) times the Gaussian binomial (l+m choose l)_hbar.
   `_product_exponent` is the one rule for E and `QuiverAlgebra.binomial`

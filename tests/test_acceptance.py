@@ -32,7 +32,6 @@ from mqg.algebra import (
     verify_quasi_bialgebra,
 )
 from mqg.corep import (
-    IntervalModule,
     brute_force_decompose,
     brute_force_indecomposables,
     decompose,

@@ -199,6 +199,15 @@ def test_usage_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: malformed module document: d must be")
         assert err.count("\n") == 1
+    # n is checked as d is: no cycle has fewer than two vertices
+    zero = [[[{"conductor": 1, "num": [0], "den": 1}]]]
+    for n, dims, arrows in ((0, [], []), (1, [1], zero), (True, [1], zero)):
+        module.write_text(json.dumps({"n": n, "d": 1, "dims": dims,
+                                      "arrows": arrows}))
+        assert run(["decompose", "--in", str(module), "--json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed module document: n must be")
+        assert err.count("\n") == 1
     # a module document handed over as an algebra dump
     assert run(["fpdim", "--alg", str(module), "--object", "I(0,1)"]) == 2
     assert capsys.readouterr().err == (

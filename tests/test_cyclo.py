@@ -1,6 +1,5 @@
 import ast
 import math
-import os
 import random
 from fractions import Fraction
 from pathlib import Path

@@ -5,84 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from mqg.cyclo import CycloNum, root_of_unity
 from mqg.quiver import (
-    FiniteGroup,
     Path,
     PathVector,
-    Quiver,
-    RamificationDatum,
     comultiply,
     counit,
-    hopf_quiver,
-    is_connected,
     parse_path,
     thin_splits,
 )
-
-
-def test_cyclic_group():
-    g = FiniteGroup.cyclic(5)
-    assert g.order == 5
-    assert g.mul(3, 4) == 2
-    assert g.inv(2) == 3
-    assert len(g.conjugacy_classes) == 5
-
-
-def test_symmetric_group():
-    g = FiniteGroup.symmetric(3)
-    assert g.order == 6
-    # class sizes of S3: 1, 3, 2
-    assert sorted(len(c) for c in g.conjugacy_classes) == [1, 2, 3]
-
-
-def test_bad_cayley_tables():
-    with pytest.raises(ValueError):
-        FiniteGroup([[0, 1], [1, 1]])  # row not a permutation
-    with pytest.raises(ValueError):
-        FiniteGroup([[1, 0], [0, 1]])  # 0 not the unit
-    with pytest.raises(ValueError):
-        FiniteGroup([[0, 1], [1, 0], [0, 1]])  # not square
-
-
-def test_ramification_datum_validation():
-    g = FiniteGroup.cyclic(3)
-    with pytest.raises(ValueError):
-        RamificationDatum(g, {})
-    with pytest.raises(ValueError):
-        RamificationDatum(g, {c: -1 for c in g.conjugacy_classes})
-    r = RamificationDatum.on_class_of(g, 1)
-    assert sum(r.coefficients.values()) == 1
-
-
-def test_hopf_quiver_cycle():
-    g = FiniteGroup.cyclic(4)
-    r = RamificationDatum.on_class_of(g, 1)
-    q = hopf_quiver(g, r)
-    assert len(q.vertices) == 4
-    assert len(q.arrows) == 4
-    assert all((s + 1) % 4 == t for s, t, _ in q.arrows)
-    assert is_connected(q)
-
-
-def test_hopf_quiver_disconnected():
-    g = FiniteGroup.cyclic(4)
-    r = RamificationDatum.on_class_of(g, 2)  # <g^2> is proper
-    assert not is_connected(hopf_quiver(g, r))
-    assert not is_connected(hopf_quiver(g, RamificationDatum.zero(g)))
-
-
-def test_hopf_quiver_multiplicity():
-    g = FiniteGroup.symmetric(3)
-    cls_ = next(c for c in g.conjugacy_classes if len(c) == 3)
-    r = RamificationDatum(g, {c: (2 if c is cls_ else 0)
-                              for c in g.conjugacy_classes})
-    q = hopf_quiver(g, r)
-    assert len(q.arrows) == 6 * 3 * 2
-    assert is_connected(q)
-
-
-def test_quiver_validation():
-    with pytest.raises(ValueError):
-        Quiver((0, 1), ((0, 2, 0),))
 
 
 def test_path_basics():
