@@ -70,7 +70,6 @@ _EXPORTS = {
         "MajidAlgebra",
         "TruncationError",
         "admissible_truncations",
-        "build",
         "build_truncated",
         "classify",
         "export_algebra",

@@ -16,7 +16,7 @@ from . import majid
 # re-exported, so mqg.algebra.X is mqg.majid.X
 from .majid import (  # noqa: F401
     ClassificationEntry, MajidAlgebra, StructureError, TruncationError,
-    _IntegerEncoding, admissible_truncations, build, build_truncated,
+    _IntegerEncoding, admissible_truncations, build_truncated,
     classify, export_algebra, generation_check, import_algebra,
     solve_antipode)
 

@@ -7,18 +7,20 @@ per vertex, with every composite of d consecutive arrows zero.  The
 composites from a vertex are built once, at construction, as one chain,
 each from the one before by a single product with the next arrow
 (:meth:`CycleModule.composite_chain`); the nilpotency check, the rank
-table and the tensor check read these chains.  All decomposition
-machinery is exact linear algebra over CycloNum with plain products, not
-the global product cache, so every value keeps the conductor of its
-inputs; one Gauss-Jordan routine serves rank and kernel, inverting each
-pivot through its field norm.  The one floating-point computation is
+table and the coaction read these chains.  One routine, `_coaction`,
+forms each degree of the coaction on X (x) Y: the tensor's arrows are
+its degree 1, and the consistency check compares every degree with the
+tensor's own chains.  All decomposition machinery is exact linear
+algebra over CycloNum with plain products, not the global product cache,
+so every value keeps the conductor of its inputs; one Gauss-Jordan
+routine serves rank and kernel, inverting each pivot with
+`CycloNum.inverse`.  The one floating-point computation is
 the power iteration inside :func:`fp_dimension`, which is always
 compared against an exact row-sum certificate.
 """
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -84,20 +86,6 @@ def _mat_mul(A, B, cols: int):
     return out
 
 
-def _reciprocal(b):
-    """1 / b for nonzero b in Q(zeta_N) through the field norm: b' is the
-    product of the Galois conjugates sigma_k(b), zeta -> zeta^k, over the
-    units k != 1 mod N, so N(b) = b b' is rational and 1 / b = b' / N(b).
-    Only the rational N(b) is inverted."""
-    if b.is_rational():
-        return b.rational_inverse()
-    N, conj = b.n, _ONE
-    for k in range(2, N):
-        if math.gcd(k, N) == 1:
-            conj = conj * b.galois_conjugate(k)
-    return conj * (b * conj).rational_inverse()
-
-
 def _row_reduce(rows, cols: int):
     """Exact Gauss-Jordan elimination.  Returns (R, pivots): R holds the
     rows in reduced row-echelon form, row t with its leading one in
@@ -114,7 +102,7 @@ def _row_reduce(rows, cols: int):
         if piv is None:
             continue
         R[r], R[piv] = R[piv], R[r]
-        inv = _reciprocal(R[r][c])
+        inv = R[r][c].inverse()
         R[r] = [x if x.is_zero() else x * inv for x in R[r]]
         for i, row in enumerate(R):
             f = row[c]
@@ -192,26 +180,11 @@ class CycleModule:
         through zero-dimensional vertices."""
         return self._chains[i % self.n]
 
-    def composite(self, i: int, k: int):
-        """The composite of k consecutive arrows starting at vertex i,
-        0 <= k <= d."""
-        if not 0 <= k <= self.d:
-            raise ValueError(f"composite length {k} is outside 0..{self.d}")
-        return self._chains[i % self.n][k]
-
     def rank_table(self):
         """r[i][k], the rank of composite(i, k), for every vertex i and
         0 <= k <= d: n (d - 1) ranks of the chains built at construction."""
         return [[cols] + [_rank(C, cols) for C in chain[1:self.d]] + [0]
                 for cols, chain in zip(self.dims, self._chains)]
-
-    def rank_profile(self, i: int, k: int) -> int:
-        """r(i, k): rank of the k-fold composite from vertex i."""
-        if k == 0:
-            return self.dims[i % self.n]
-        if k >= self.d:
-            return 0
-        return _rank(self.composite(i, k), self.dims[i % self.n])
 
     def to_json(self) -> dict:
         return {
@@ -223,9 +196,9 @@ class CycleModule:
     @classmethod
     def from_json(cls, doc: dict) -> "CycleModule":
         """Inverse of to_json; a document of the wrong shape raises
-        ValueError, as does an n below 2 (no cycle) or a d outside
-        1..max_conductor(): the module keeps n (d + 1) composite
-        matrices."""
+        ValueError, as do an n below 2 (no cycle), a d outside
+        1..max_conductor() (the module keeps n (d + 1) composite
+        matrices) and dims or a conductor that are not integers."""
         if not isinstance(doc, dict):
             doc = {}
         n, d = doc.get("n"), doc.get("d")
@@ -235,12 +208,16 @@ class CycleModule:
         if type(d) is not int or not 1 <= d <= max_conductor():
             raise ValueError(f"malformed module document: d must be an "
                              f"integer in 1..{max_conductor()}, got {d!r}")
+        dims = doc.get("dims")
+        if type(dims) is not list or any(type(x) is not int for x in dims):
+            raise ValueError(f"malformed module document: dims must be a "
+                             f"list of integers, got {dims!r}")
         try:
             arrows = [
                 [[CycloNum.from_json(x) for x in row] for row in mat]
                 for mat in doc["arrows"]
             ]
-            return cls(n, d, doc["dims"], arrows)
+            return cls(n, d, dims, arrows)
         except (TypeError, KeyError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed module document: {exc!r}") from exc
 
@@ -580,80 +557,68 @@ def _tensor_index(X: CycleModule, Y: CycleModule):
     return blocks, pos
 
 
+def _coaction(M: MajidAlgebra, X: CycleModule, Y: CycleModule, k: int,
+              blocks, pos):
+    """The degree-k component of the coaction on X (x) Y, one matrix per
+    vertex v, from the basis of v to that of v + k: x (x) y, x at vertex
+    i and y at j, goes to sum_{t+u=k} coef(p(i,t) p(j,u)) (A^t x) (x)
+    (B^u y) over the t, u < d that name basis paths."""
+    n, d = M.n, M.d
+    chains = [(X.composite_chain(i), Y.composite_chain(i)) for i in range(n)]
+    out = []
+    for v in range(n):
+        mat = _mat(len(blocks[(v + k) % n]), len(blocks[v]))
+        for col, (i, j, a, b) in enumerate(blocks[v]):
+            for t in range(max(0, k - d + 1), min(k, d - 1) + 1):
+                u = k - t
+                coeff, target = M.product(Path(n, i, t), Path(n, j, u))
+                if target is None or coeff.is_zero():
+                    continue
+                Ax, By = chains[i][0][t], chains[j][1][u]
+                for r in range(X.dims[(i + t) % n]):
+                    if Ax[r][a].is_zero():
+                        continue
+                    for s2 in range(Y.dims[(j + u) % n]):
+                        if By[s2][b].is_zero():
+                            continue
+                        row = pos[((i + t) % n, (j + u) % n, r, s2)]
+                        mat[row][col] = mat[row][col] + coeff * (
+                            Ax[r][a] * By[s2][b])
+        out.append(mat)
+    return out
+
+
 def comodule_tensor(M: MajidAlgebra, X: CycleModule, Y: CycleModule) -> CycleModule:
     """X tensor Y with the coaction pushed through M's multiplication.
 
     A basis vector x (x) y with x at vertex i and y at vertex j sits at
-    vertex i+j; the degree-1 component of its coaction is
-    coef(p(i,1) p(j,0)) (Ax)(x)y + coef(p(i,0) p(j,1)) x(x)(By).
+    vertex i+j; the arrows are the degree-1 component of its coaction,
+    coef(p(i,1) p(j,0)) (Ax)(x)y + coef(p(i,0) p(j,1)) x(x)(By)
+    (:func:`_coaction` with k = 1; all zero when d = 1).
     """
     n, d = M.n, M.d
     if (X.n, X.d) != (n, d) or (Y.n, Y.d) != (n, d):
         raise ValueError("tensor factors built over different parameters")
     blocks, pos = _tensor_index(X, Y)
-    dims = tuple(len(block) for block in blocks)
-    arrows = []
-    for v in range(n):
-        w = (v + 1) % n
-        mat = _mat(dims[w], dims[v])
-        # with d = 1 every arrow is zero and p(i, 1) is outside the basis
-        for col, (i, j, a, b) in enumerate(blocks[v] if d > 1 else ()):
-            cx, _ = M.product(Path(n, i, 1), Path(n, j, 0))
-            cy, _ = M.product(Path(n, i, 0), Path(n, j, 1))
-            for r in range(X.dims[(i + 1) % n]):
-                e = X.arrows[i][r][a]
-                if not e.is_zero():
-                    row = pos[((i + 1) % n, j, r, b)]
-                    mat[row][col] = mat[row][col] + cx * e
-            for r in range(Y.dims[(j + 1) % n]):
-                e = Y.arrows[j][r][b]
-                if not e.is_zero():
-                    row = pos[(i, (j + 1) % n, a, r)]
-                    mat[row][col] = mat[row][col] + cy * e
-        arrows.append(mat)
-    return CycleModule(n, d, dims, arrows)
+    return CycleModule(n, d, tuple(len(block) for block in blocks),
+                       _coaction(M, X, Y, 1, blocks, pos))
 
 
 def tensor_consistency_check(M: MajidAlgebra, X: CycleModule, Y: CycleModule,
                              T: CycleModule | None = None) -> bool:
     """Higher coaction components of the computed tensor module.
 
-    The degree-k component of the coaction on x (x) y is
-    sum_{a+b=k} coef(p(i,a) p(j,b)) (A^a x) (x) (B^b y); this must agree
-    with the k-fold arrow composite of the tensor module for every k.
+    The k-fold arrow composite of T, which T's chains build from its
+    arrows alone, must equal the degree-k component of the coaction
+    (:func:`_coaction`) for every 0 <= k <= d; for k >= 2 this tests
+    that the coaction is multiplicative.
     """
-    n, d = M.n, M.d
     if T is None:
         T = comodule_tensor(M, X, Y)
     blocks, pos = _tensor_index(X, Y)
-    chains_T = [T.composite_chain(v) for v in range(n)]
-    chains_X = [X.composite_chain(i) for i in range(n)]
-    chains_Y = [Y.composite_chain(j) for j in range(n)]
-    for k in range(d + 1):
-        for v in range(n):
-            want = _mat(len(blocks[(v + k) % n]), len(blocks[v]))
-            for col, (i, j, a, b) in enumerate(blocks[v]):
-                for t in range(k + 1):
-                    u = k - t
-                    if t >= d or u >= d:
-                        continue
-                    coeff, target = M.product(Path(n, i, t), Path(n, j, u))
-                    if target is None or coeff.is_zero():
-                        continue
-                    Ax = chains_X[i][t]
-                    By = chains_Y[j][u]
-                    for r in range(X.dims[(i + t) % n]):
-                        if Ax[r][a].is_zero():
-                            continue
-                        for s2 in range(Y.dims[(j + u) % n]):
-                            if By[s2][b].is_zero():
-                                continue
-                            row = pos[((i + t) % n, (j + u) % n, r, s2)]
-                            want[row][col] = want[row][col] + coeff * (
-                                Ax[r][a] * By[s2][b])
-            if chains_T[v][k] != want:
-                return False
-    return True
+    return all([T.composite_chain(v)[k] for v in range(M.n)]
+               == _coaction(M, X, Y, k, blocks, pos)
+               for k in range(M.d + 1))
 
 
 def fusion_data(M: MajidAlgebra):

@@ -331,31 +331,26 @@ class CycloNum:
         return other * self.inverse()
 
     def inverse(self) -> "CycloNum":
-        """The inverse of a root of unity or a nonzero rational: a tagged
-        root by its tag, an untagged root or a rational at the conductor
-        of self.  Any other value raises ValueError."""
+        """1 / self for every nonzero self.  A tagged root of unity is
+        inverted by its tag; any other rational at conductor 1, numerator
+        and denominator swapped and the sign kept on the numerator; any
+        other value at its own conductor N through the field norm: b' is
+        the product of the Galois conjugates sigma_k(self) over the units
+        k != 1 mod N, so self b' is rational and 1 / self = b' / (self b').
+        """
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta)")
         if self._root:
             rn, re = self._root
             return root_of_unity(rn, -re)
         if self.is_rational():
-            return self.rational_inverse().lift(self.n)
-        root = self.as_root_of_unity()
-        if root is None:
-            raise ValueError(
-                f"{self!r} is neither a root of unity nor a rational")
-        return self ** (root[0] - 1)
-
-    def rational_inverse(self) -> "CycloNum":
-        """1 / self at conductor 1, for a nonzero rational self: numerator
-        and denominator swapped, the sign kept on the numerator."""
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero in Q(zeta)")
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        k = self.num[0]
-        return CycloNum(1, [self.den if k > 0 else -self.den], None, abs(k))
+            k = self.num[0]
+            return CycloNum(1, [self.den if k > 0 else -self.den], None, abs(k))
+        conj = CycloNum.one()
+        for k in range(2, self.n):
+            if math.gcd(k, self.n) == 1:
+                conj = conj * self.galois_conjugate(k)
+        return conj * (self * conj).inverse()
 
     def __pow__(self, e: int) -> "CycloNum":
         if self._root:
@@ -432,10 +427,10 @@ class CycloNum:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CycloNum":
-        num, den = list(obj["num"]), obj["den"]
-        if type(den) is not int or not all(type(v) is int for v in num):
-            raise TypeError("num and den must be integers")
-        return cls(obj["conductor"], num) * Fraction(1, den)
+        conductor, num, den = obj["conductor"], list(obj["num"]), obj["den"]
+        if not all(type(v) is int for v in (conductor, den, *num)):
+            raise TypeError("conductor, num and den must be integers")
+        return cls(conductor, num) * Fraction(1, den)
 
     # ---- display -----------------------------------------------------------
 

@@ -30,7 +30,7 @@ from .quiver import Path, PathVector
 from .shuffle import QuiverAlgebra, _product_exponent
 
 __all__ = ["MajidAlgebra", "ClassificationEntry", "StructureError",
-           "TruncationError", "build", "solve_antipode", "classify",
+           "TruncationError", "solve_antipode", "classify",
            "admissible_truncations", "build_truncated", "generation_check",
            "export_algebra", "import_algebra"]
 
@@ -57,7 +57,6 @@ class MajidAlgebra:
         self.basis = [Path(self.n, i, l) for l in range(d) for i in range(self.n)]
         self.unit = Path(self.n, 0, 0)
         self._prod = {}
-        self._phi_g = {}
         self._antipode = None
 
     # -- construction ------------------------------------------------------
@@ -101,12 +100,7 @@ class MajidAlgebra:
         return out
 
     def phi_grouplike(self, i: int, j: int, k: int) -> CycloNum:
-        key = (i % self.n, j % self.n, k % self.n)
-        hit = self._phi_g.get(key)
-        if hit is None:
-            hit = phi(self.params, *key)
-            self._phi_g[key] = hit
-        return hit
+        return phi(self.params, i, j, k)
 
     def reassociator(self, a: Path, b: Path, c: Path) -> CycloNum:
         """Graded reassociator: zero unless all three arguments are vertices."""
@@ -130,10 +124,6 @@ class MajidAlgebra:
         if self._antipode is None:
             self._antipode = solve_antipode(self)
         return self._antipode
-
-
-def build(n: int, s: int, q: CycloNum) -> MajidAlgebra:
-    return MajidAlgebra.build(n, s, q)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +379,6 @@ def build_truncated(n: int, d: int) -> MajidAlgebra:
     """
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")
-    witnesses = []
     for s in range(n):
         params = CocycleParams.standard(n, s)
         for q in legal_q_values(params):
@@ -400,20 +389,12 @@ def build_truncated(n: int, d: int) -> MajidAlgebra:
                 # closure at d fails: binom(d, 1) is a nonzero q-integer
                 coeff, _ = M.product(Path(n, 0, d - 1), Path(n, 0, 1))
                 assert not coeff.is_zero()
-                witnesses.append(
-                    {"s": s, "q": q.to_json(), "reason": "closure",
-                     "l": d - 1, "m": 1, "coeff": coeff.to_json()}
-                )
-            else:
-                # generation dies: p(0, M.d) is unreachable, the product
-                # p(0, M.d - 1) p(0, 1) already vanishes
-                witnesses.append(
-                    {"s": s, "q": q.to_json(), "reason": "generation",
-                     "dies_at": M.d}
-                )
+            # with M.d < d generation dies: p(0, M.d) is unreachable, the
+            # product p(0, M.d - 1) p(0, 1) already vanishes
+    # all n legal q of each of the n values of s are rejected
     raise TruncationError(
         f"no consistent product on the length-{d} truncation for n={n}: "
-        f"{len(witnesses)} families rejected"
+        f"{n * n} families rejected"
     )
 
 
@@ -445,14 +426,14 @@ def generation_check(M: MajidAlgebra) -> bool:
 
 
 def export_algebra(M: MajidAlgebra, format: str = "dict"):
-    """Complete structure dump; format "dict", "json" (canonical string)
-    or "pretty" (indented string).  Each product is read once, so none is
-    kept in the memo of `M.product`."""
-    q_exp, conductor = _canonical_q_exp(M)
+    """Complete structure dump; format "dict" or "json" (canonical
+    string).  Each product is read once, so none is kept in the memo of
+    `M.product`."""
+    conductor = q_conductor(M.n, M.s)
     doc = {
         "n": M.n,
         "s": M.s,
-        "q_exp": q_exp,
+        "q_exp": root_exponent(M.q, conductor),
         "conductor": conductor,
         "d": M.d,
         "dim": M.dim,
@@ -485,14 +466,7 @@ def export_algebra(M: MajidAlgebra, format: str = "dict"):
         return doc
     if format == "json":
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    if format == "pretty":
-        return json.dumps(doc, sort_keys=True, indent=2)
     raise ValueError(f"unknown export format {format!r}")
-
-
-def _canonical_q_exp(M: MajidAlgebra) -> tuple[int, int]:
-    conductor = q_conductor(M.n, M.s)
-    return root_exponent(M.q, conductor), conductor
 
 
 def import_algebra(doc) -> MajidAlgebra:

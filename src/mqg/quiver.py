@@ -43,9 +43,6 @@ class Path:
     def target(self) -> int:
         return (self.source + self.length) % self.cycle
 
-    def is_vertex(self) -> bool:
-        return self.length == 0
-
     def __str__(self):
         return f"p({self.source},{self.length})"
 

@@ -193,15 +193,6 @@ class QuiverAlgebra:
         return (CycloNum(self.conductor, self._closed_form_vec(i, l, j, m)),
                 Path(self.n, i + j, l + m))
 
-    def multiply(self, alpha: PathVector, beta: PathVector) -> PathVector:
-        """Production product: bilinear extension of the closed formula."""
-        out = PathVector(self.n)
-        for p1, c1 in alpha.terms.items():
-            for p2, c2 in beta.terms.items():
-                coeff, target = self.closed_form_product(p1, p2)
-                out = out + PathVector(self.n, {target: coeff * c1 * c2})
-        return out
-
     def power_left(self, p: PathVector, k: int) -> PathVector:
         """(..(p.p).p)..p, left-nested, by the thin-split sum."""
         if k < 1:

@@ -208,6 +208,15 @@ def test_usage_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: malformed module document: n must be")
         assert err.count("\n") == 1
+    # dims and conductors are JSON integers: not floats, strings or booleans
+    one, zero = ({"conductor": 1, "num": [x], "den": 1} for x in (1, 0))
+    for dims, x in (([1.9, "1"], one), ([1, 1], {**one, "conductor": True})):
+        module.write_text(json.dumps({"n": 2, "d": 2, "dims": dims,
+                                      "arrows": [[[x]], [[zero]]]}))
+        assert run(["decompose", "--in", str(module), "--json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed module document: ")
+        assert err.count("\n") == 1
     # a module document handed over as an algebra dump
     assert run(["fpdim", "--alg", str(module), "--object", "I(0,1)"]) == 2
     assert capsys.readouterr().err == (

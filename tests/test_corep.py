@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -40,8 +41,7 @@ def test_interval_realization():
     assert I.dims() == (0, 1, 1)
     M = I.realize()
     assert M.total_dim() == 2
-    assert M.rank_profile(1, 1) == 1
-    assert M.rank_profile(1, 2) == 0
+    assert M.rank_table()[1][1:3] == [1, 0]
     assert str(I) == "I(1,2)"
     with pytest.raises(ValueError):
         IntervalModule(3, 3, 0, 4)
@@ -162,6 +162,30 @@ def test_tensor_consistency():
         comodule_tensor(M, X, IntervalModule(3, 3, 0, 1).realize())
 
 
+def test_tensor_consistency_rejects_a_wrong_tensor():
+    M = _M(2, 1)
+    assert M.q == root_of_unity(4)
+    X = IntervalModule(2, 4, 0, 2).realize()
+    Y = IntervalModule(2, 4, 1, 3).realize()
+    T = comodule_tensor(M, X, Y)
+    # one nonzero arrow entry of T times zeta_4, each in turn
+    z4, tampered = root_of_unity(4), 0
+    for v, mat in enumerate(T.arrows):
+        for r, row in enumerate(mat):
+            for c, x in enumerate(row):
+                if x.is_zero():
+                    continue
+                arrows = [[list(line) for line in m] for m in T.arrows]
+                arrows[v][r][c] = x * z4
+                bad = CycleModule(T.n, T.d, T.dims, arrows)
+                assert not tensor_consistency_check(M, X, Y, bad), (v, r, c)
+                tampered += 1
+    assert tampered > 0
+    # the tensor over M(2, 1, zeta_4^3) is not the one over M(2, 1, zeta_4)
+    other = MajidAlgebra.build(2, 1, root_of_unity(4, 3))
+    assert not tensor_consistency_check(M, X, Y, comodule_tensor(other, X, Y))
+
+
 def test_tensor_additive_in_summands():
     M = _M(2, 1)
     X = IntervalModule(2, 4, 0, 2).realize()
@@ -262,23 +286,21 @@ def test_composite_chain_is_the_naive_fold(M):
     for i in range(n):
         chain = M.composite_chain(i)
         assert len(chain) == d + 1
-        for k in range(d + 1):
-            C = M.composite(i, k)
+        for k, C in enumerate(chain):
             assert len(C) == M.dims[(i + k) % n]
             assert all(len(row) == M.dims[i] for row in C)
-            assert C == _naive_composite(M, i, k) == chain[k]
-            assert M.rank_profile(i, k) == table[i][k]
-        for k in (-1, d + 1):
-            with pytest.raises(ValueError):
-                M.composite(i, k)
+            assert C == _naive_composite(M, i, k)
+            # the rank table against the realified rational rank
+            N = math.lcm(1, *(x.n for row in C for x in row))
+            assert _q_rank(_realify(C, N)) == euler_phi(N) * table[i][k]
 
 
 def test_zero_vertex_composite_shapes():
     M = IntervalModule(4, 4, 0, 2).realize()
-    assert M.composite(0, 2) == []          # 0 x 1
-    assert M.composite(0, 4) == [[CycloNum.zero()]]  # 1 x 1, back at 0
-    assert M.composite(2, 2) == [[]]        # 1 x 0
-    assert M.composite(3, 1) == [[]]        # 1 x 0
+    assert M.composite_chain(0)[2] == []          # 0 x 1
+    assert M.composite_chain(0)[4] == [[CycloNum.zero()]]  # 1 x 1, back at 0
+    assert M.composite_chain(2)[2] == [[]]        # 1 x 0
+    assert M.composite_chain(3)[1] == [[]]        # 1 x 0
 
 
 def test_decompose_tensor_modules_matches_brute_force():
@@ -306,8 +328,8 @@ def test_composites_keep_the_conductor_of_their_entries():
               for mat in I.arrows]
     M = CycleModule(2, 4, I.dims, arrows)
     for i in range(2):
-        for k in range(M.d + 1):
-            for row in M.composite(i, k):
+        for k, C in enumerate(M.composite_chain(i)):
+            for row in C:
                 for x in row:
                     assert 16 % x.n == 0, (i, k, x.n)
     assert decompose(M) == {(0, 4): 1}

@@ -37,7 +37,7 @@ EXPORTS = {
               "indecomposables", "is_indecomposable", "random_module",
               "tensor_consistency_check", "uniserial_check"],
     "majid": ["ClassificationEntry", "MajidAlgebra", "StructureError",
-              "TruncationError", "admissible_truncations", "build",
+              "TruncationError", "admissible_truncations",
               "build_truncated", "classify", "export_algebra",
               "generation_check", "import_algebra", "solve_antipode"],
     "algebra": ["verify_quasi_bialgebra"],
@@ -227,15 +227,20 @@ def _referenced_names(path: Path) -> set:
     return found
 
 
+def _library_names() -> set:
+    """Every name a layer (not __init__.py), a demo or a benchmark module
+    reads."""
+    files = [p for p in (SRC / "mqg").glob("*.py") if p.name != "__init__.py"]
+    for directory in ("demos", "perfbench"):
+        files += (ROOT / directory).glob("*.py")
+    return set().union(*map(_referenced_names, files))
+
+
 def test_names_only_tests_call_are_pinned():
     # the public names that no layer, demo or benchmark workload reads:
     # each is kept as a reference or check for the tests, so a new one
     # needs a reason, and code nothing calls is deleted
-    files = [p for p in (SRC / "mqg").glob("*.py") if p.name != "__init__.py"]
-    for directory in ("demos", "perfbench"):
-        files += (ROOT / directory).glob("*.py")
-    used = set().union(*map(_referenced_names, files))
-    assert set(mqg.__all__) - used == {
+    assert set(mqg.__all__) - _library_names() == {
         # test_acceptance.py::test_criterion_07_corepresentation_counts
         "brute_force_indecomposables", "uniserial_check",
         # the coproduct of tests/bialgebra_oracle.py, and
@@ -247,4 +252,25 @@ def test_names_only_tests_call_are_pinned():
         "one_dim_modules",
         # test_shuffle.py::_thin_split_sum, the thin-split oracle
         "thin_splits",
+    }
+
+
+def test_methods_only_tests_call_are_pinned():
+    # the same for the public methods of the classes of every layer: a
+    # method counts as read when its name is, on any object
+    methods = {f"{node.name}.{item.name}"
+               for path in (SRC / "mqg").glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)
+               for item in node.body
+               if isinstance(item, ast.FunctionDef)
+               and not item.name.startswith("_")}
+    used = _library_names()
+    assert {m for m in methods if m.split(".")[1] not in used} == {
+        # test_algebra.py::test_reassociator_and_functionals, the graded
+        # reassociator on vertices and off them
+        "MajidAlgebra.reassociator",
+        # test_shuffle.py::test_right_powers_agree_when_associative, the
+        # right-nested thin-split powers against the left-nested ones
+        "QuiverAlgebra.power_right",
     }

@@ -18,7 +18,6 @@ def test_path_basics():
     p = Path(4, 6, 3)
     assert p.source == 2 and p.target == 1
     assert str(p) == "p(2,3)"
-    assert Path(4, 1, 0).is_vertex()
     with pytest.raises(ValueError):
         Path(4, 0, -1)
 
