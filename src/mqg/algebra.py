@@ -2,7 +2,9 @@
 
 `verify_quasi_bialgebra` checks the quasi-bialgebra axioms on every
 basis triple; quasi-associativity and the coproduct are numpy sweeps
-over the integer encoding of mqg.majid.  numpy is imported at the top of
+that decide on the integer exponents of mqg.majid's encoding, since the
+q-multinomial and q-Vandermonde identities settle the Gaussian
+binomials.  numpy is imported at the top of
 this module, so a process pays for it when it imports the sweeps, never
 inside a timed call.  The algebra itself, the antipode, the family
 enumerator and JSON import/export are defined in mqg.majid, which loads
@@ -10,7 +12,7 @@ no numpy; their public names are re-exported here.
 """
 from __future__ import annotations
 
-from .cyclo import CycloNum, _reduce_mod_phi
+from .cyclo import CycloNum, rotate
 from .cocycle import pentagon_report
 from . import majid
 # re-exported, so mqg.algebra.X is mqg.majid.X
@@ -25,74 +27,20 @@ import numpy as np
 __all__ = [*majid.__all__, "verify_quasi_bialgebra"]
 
 
-# the largest magnitude the integer sweeps hold in int64; above it they run
-# on Python integers
-_INT64_BOUND = 2 ** 63 - 1
 # the most entries of one exponent array, which bounds the numpy temporaries
 _CHUNK = 1 << 16
 
 
 class _IntegerEngine(_IntegerEncoding):
     """The integer encoding of M with the numpy sweeps of its two heavy
-    identities.  The checks of quasi-associativity and of the coproduct
-    are numpy sweeps over the exponents of a range of lengths at a time;
-    they return None or the first failing witness in basis loop order.
-    The tables live on the instance, made for one call.
+    identities.  Every structure constant is a root of unity times a
+    Gaussian binomial in hbar, and the q-multinomial and q-Vandermonde
+    identities settle the binomials, so both sweeps decide on the integer
+    exponents of a range of lengths at a time, with q-Lucas vanishing;
+    only a coproduct split whose exponents disagree with q-Vandermonde is
+    summed exactly in Q(zeta_N).  They return None or the first failing
+    witness in basis loop order.
     """
-
-    def __init__(self, M: MajidAlgebra):
-        super().__init__(M)
-        self._sweep = None
-
-    def _tables(self):
-        """(T, R).  T[a, b] is binom(a+b, a)_hbar reduced modulo Phi_N and
-        padded to N entries, for a, b < 2d - 1 with a < d or b < d, and 0
-        elsewhere.  R[y] is zeta_N^y reduced, so a vector v is zero iff
-        v @ R is.  Both are int64 when every sum the sweeps form is
-        bounded by _INT64_BOUND, else Python integers (dtype object)."""
-        if self._sweep is None:
-            d, N = self.d, self.N
-            R = np.array([_reduce_mod_phi([int(x == y) for x in range(N)], N)
-                          for y in range(N)], dtype=object)
-            base = np.zeros((d, d, N), dtype=object)
-            for a in range(d):
-                for b in range(d - a):
-                    low = _reduce_mod_phi(self.binomial(a, b), N)
-                    base[a, b, :len(low)] = low
-            # q-Lucas: when a < d or b < d, and the last base-d digits do
-            # not carry, binom(a+b, a) = binom(a%d + b%d, a%d)
-            a, b = np.indices((2 * d - 1, 2 * d - 1))
-            T = base[a % d, b % d] * (((a < d) | (b < d))
-                                      & ~self.vanishes(a, b))[..., None]
-            # a verdict vector sums at most max(d, 2) products of reduced
-            # binomials, each with at most phi(N) terms per entry
-            top, rtop, phi_N = int(abs(base).max()), int(abs(R).max()), R.shape[1]
-            bound = N * rtop * (max(d, 2) * phi_N * top * top + top)
-            if bound <= _INT64_BOUND:
-                T, R = T.astype(np.int64), R.astype(np.int64)
-            self._sweep = T, R
-        return self._sweep
-
-    def _products(self, a, b):
-        """Row by row, the products a[v] b[v] modulo x^N - 1 of reduced
-        binomials, whose entries past the first phi(N) are 0."""
-        N, phi_N = self.N, self._tables()[1].shape[1]
-        # transposed, so that each step adds contiguous rows
-        a, b = a[:, :phi_N].T.copy(), b[:, :phi_N].T.copy()
-        out = np.zeros((max(N, 2 * phi_N - 1), a.shape[1]), dtype=a.dtype)
-        for y in range(phi_N):
-            out[y:y + phi_N] += a[y] * b
-        out[:len(out) - N] += out[N:]
-        return out[:N].T
-
-    def _rotate(self, vecs, e):
-        """Row by row, vecs[v] times zeta_N^e[v]."""
-        N = self.N
-        return np.take_along_axis(vecs, (np.arange(N) - e[:, None]) % N, axis=1)
-
-    def _is_zero(self, vecs):
-        """Row by row, whether vecs[v] is 0 modulo Phi_N."""
-        return ~((vecs @ self._tables()[1]) != 0).any(axis=1)
 
     def _m_ranges(self, cost):
         """0..d-1 cut into ranges of m whose summed cost(m), the size of
@@ -109,42 +57,30 @@ class _IntegerEngine(_IntegerEncoding):
     def quasi_associativity(self):
         """Phi(sources) a(bc) = Phi(targets) (ab)c on all basis triples.
 
-        With zeta^eL b1 on the left and zeta^eR b2 on the right, the
-        identity holds iff b1 = zeta^(eR - eL) b2: within one triple of
-        lengths its verdict is computed once per class of eR - eL mod N.
-        A triple of lengths where both association orders of the
-        q-trinomial vanish holds trivially and is skipped.
+        With zeta^eL b1 on the left and zeta^eR b2 on the right, b1 =
+        binom(m+t, m) binom(l+m+t, l) and b2 = binom(l+m, l)
+        binom(l+m+t, l+m) are the same q-trinomial [l+m+t]! / ([l]! [m]!
+        [t]!) at hbar.  Z[zeta_N] has no zero divisors, so the identity
+        holds iff b1 vanishes or eR = eL mod N.
         """
         n, d, N = self.n, self.d, self.N
         E, phi_e, vanishes = self.E, self.phi_e, self.vanishes
-        T = self._tables()[0]
         i, j, k = (np.arange(n).reshape(s) for s in
                    ((1, n, 1, 1), (1, 1, n, 1), (1, 1, 1, n)))
         for l in range(d):
             for m0, m1 in self._m_ranges(lambda m: d * n ** 3):
-                # Z[zeta_N] has no zero divisors: a product of two
-                # binomials vanishes iff one of them does
+                # the (m, t) in loop order where b1 does not vanish
                 ms, ts = np.meshgrid(np.arange(m0, m1), np.arange(d),
                                      indexing="ij")
-                live = ~((vanishes(ms, ts) | vanishes(l, ms + ts))
-                         & (vanishes(l, ms) | vanishes(l + ms, ts)))
-                ms, ts = ms[live], ts[live]  # in loop order
-                if not len(ms):
-                    continue
-                b1 = self._products(T[ms, ts], T[l, ms + ts])
-                b2 = self._products(T[l, ms], T[l + ms, ts])
+                live = ~(vanishes(ms, ts) | vanishes(l, ms + ts))
+                ms, ts = ms[live], ts[live]
                 m, t = ms[:, None, None, None], ts[:, None, None, None]
                 eL = phi_e(i, j, k) + E(j, m, k, t) + E(i, l, (j + k) % n, m + t)
                 eR = (phi_e((i + l) % n, (j + m) % n, (k + t) % n)
                       + E(i, l, j, m) + E((i + j) % n, l + m, k, t))
-                keys = (np.arange(len(ms))[:, None, None, None] * N
-                        + (eR - eL) % N).ravel()
-                classes, inverse = np.unique(keys, return_inverse=True)
-                row, delta = classes // N, classes % N
-                ok = self._is_zero(b1[row] - self._rotate(b2[row], delta))
-                if not ok.all():
-                    p, a, b, c = np.unravel_index(
-                        np.argmin(ok[inverse]), (len(ms), n, n, n))
+                fails = (eR - eL) % N != 0
+                if fails.any():
+                    p, a, b, c = np.unravel_index(np.argmax(fails), fails.shape)
                     return {"a": f"p({a},{l})", "b": f"p({b},{ms[p]})",
                             "c": f"p({c},{ts[p]})"}
         return None
@@ -152,56 +88,52 @@ class _IntegerEngine(_IntegerEncoding):
     def coproduct(self):
         """The coproduct is an algebra map: for every split position r of
         the product p(i,l) p(j,m), the convolution of split coefficients
-        reproduces the total coefficient (the q-Vandermonde identity).
+        reproduces the total coefficient.
 
-        Both sides are rotated by -eC, the exponent of the total
-        coefficient, so within one pair of lengths the verdict depends
-        only on r and the rotated split exponents.  Each (m, r) group is
-        decided once for the exponents of (i, j) = (0, 0), and once per
-        distinct exponent row where some (i, j) differs from them.
+        With u = r - k, q-Vandermonde reads binom(l+m, l) = sum_k
+        hbar^((l-k)u) binom(k+u, k) binom(l+m-r, l-k), so a split holds
+        when each term that does not vanish has the exponent e(k) =
+        E((i+k)%n, l-k, (j+u)%n, m-u) + E(i,k,j,u) - E(i,l,j,m) equal to
+        hb_e (l-k) u mod N.  A split where some term disagrees is summed
+        exactly by _split_holds.
         """
-        n, d, N, E = self.n, self.d, self.N, self.E
-        T = self._tables()[0]
+        n, d, N, E, vanishes = self.n, self.d, self.N, self.E, self.vanishes
         i, j = np.arange(n)[:, None, None], np.arange(n)[None, :, None]
         for l in range(d):
             for m0, m1 in self._m_ranges(lambda m: (l + 1) * (m + 1) * n * n):
-                # the splits (m, r, k), k + u = r, sorted by m, r and k
+                # the terms (m, k, u), u <= m, of the splits r = k + u
+                # that do not vanish
                 ms, ks, us = np.meshgrid(np.arange(m0, m1), np.arange(l + 1),
                                          np.arange(m1), indexing="ij")
-                keep = us <= ms
+                keep = (us <= ms) & ~(vanishes(ks, us)
+                                      | vanishes(l - ks, ms - us))
                 ms, ks, us = ms[keep], ks[keep], us[keep]
-                order = np.lexsort((ks, ks + us, ms))
-                ms, ks, us = ms[order], ks[order], us[order]
-                rs = ks + us
-                starts = np.flatnonzero(np.r_[True, (ms[1:] != ms[:-1])
-                                              | (rs[1:] != rs[:-1])])
                 e = (E((i + ks) % n, l - ks, (j + us) % n, ms - us)
-                     + E(i, ks, j, us) - E(i, l, j, ms)) % N
-                pairs = self._products(T[l - ks, ms - us], T[ks, us])
-                total = T[l, ms[starts]]
-                ok = np.empty((n, n, len(starts)), dtype=bool)
-                ok[:, :] = self._is_zero(np.add.reduceat(
-                    self._rotate(pairs, e[0, 0]), starts) - total)
-                differs = np.logical_or.reduceat(
-                    (e != e[0, 0]).any(axis=(0, 1)), starts)
-                ends = np.r_[starts[1:], len(ms)]
-                for g in np.flatnonzero(differs):
-                    group = slice(starts[g], ends[g])
-                    rows, inverse = np.unique(
-                        e[:, :, group].reshape(n * n, -1), axis=0,
-                        return_inverse=True)
-                    sums = np.stack([self._rotate(pairs[group], row).sum(axis=0)
-                                     for row in rows])
-                    ok[:, :, g] = self._is_zero(sums - total[g]).reshape(
-                        -1)[inverse.ravel()].reshape(n, n)
-                if not ok.all():
-                    # the first failing m, then (i, j, r) in loop order
-                    m = ms[starts][~ok.all(axis=(0, 1))].min()
-                    a, b, r = np.unravel_index(
-                        np.argmin(ok[:, :, ms[starts] == m]), (n, n, l + m + 1))
-                    return {"a": f"p({a},{l})", "b": f"p({b},{m})",
-                            "split": int(r)}
+                     + E(i, ks, j, us) - E(i, l, j, ms))
+                flagged = (e - self.hb_e * (l - ks) * us) % N != 0
+                if not flagged.any():
+                    continue
+                # the flagged splits in loop order (m, i, j, r)
+                fi, fj, v = np.nonzero(flagged)
+                for m, a, b, r in sorted(set(zip(
+                        ms[v].tolist(), fi.tolist(), fj.tolist(),
+                        (ks + us)[v].tolist()))):
+                    if not self._split_holds(a, l, b, m, r):
+                        return {"a": f"p({a},{l})", "b": f"p({b},{m})",
+                                "split": r}
         return None
+
+    def _split_holds(self, i, l, j, m, r):
+        """Whether the split r of p(i,l) p(j,m) sums to the total
+        coefficient, exactly in Q(zeta_N)."""
+        n, N, E, binom = self.n, self.N, self.E, self.binomial
+        total = CycloNum.zero()
+        for k in range(max(0, r - m), min(l, r) + 1):
+            u = r - k
+            e = E((i + k) % n, l - k, (j + u) % n, m - u) + E(i, k, j, u)
+            total += (CycloNum(N, rotate(binom(l - k, m - u), e))
+                      * CycloNum(N, binom(k, u)))
+        return total == CycloNum(N, rotate(binom(l, m), E(i, l, j, m)))
 
 
 def verify_quasi_bialgebra(M: MajidAlgebra) -> dict:
@@ -235,7 +167,7 @@ def verify_quasi_bialgebra(M: MajidAlgebra) -> dict:
     if not rep["passed"]:
         return fail(rep["reason"], {"counterexample": rep["counterexample"]})
 
-    # integer-vector engine for the two heavy identities
+    # the exponent sweeps of the two heavy identities
     engine = _IntegerEngine(M)
     for name, check in (("quasi-associativity", engine.quasi_associativity),
                         ("coproduct-multiplicative", engine.coproduct)):

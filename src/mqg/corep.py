@@ -143,9 +143,11 @@ class CycleModule:
     def __init__(self, n: int, d: int, dims, arrows):
         self.n = n
         self.d = d
-        self.dims = tuple(int(x) for x in dims)
-        if len(self.dims) != n or any(x < 0 for x in self.dims):
-            raise ValueError("dimension vector must have n non-negative entries")
+        self.dims = tuple(dims)
+        if len(self.dims) != n or any(type(x) is not int or x < 0
+                                      for x in self.dims):
+            raise ValueError(
+                "dimension vector must have n non-negative int entries")
         self.arrows = [
             [[x if isinstance(x, CycloNum) else CycloNum.from_rational(x)
               for x in row] for row in mat]

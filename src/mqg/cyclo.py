@@ -77,7 +77,6 @@ def _check_conductor(n: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     out = []
     d = 2
@@ -102,7 +101,6 @@ def euler_phi(n: int) -> int:
     return r
 
 
-@lru_cache(maxsize=None)
 def mobius(n: int) -> int:
     r = 1
     for _, e in _factorize(n):
@@ -112,7 +110,6 @@ def mobius(n: int) -> int:
     return r
 
 
-@lru_cache(maxsize=None)
 def _divisors(n: int) -> tuple[int, ...]:
     ds = [1]
     for p, e in _factorize(n):
@@ -143,7 +140,6 @@ def _poly_divexact_int(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...
     return tuple(q)
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, ascending degree, monic."""
     num: tuple[int, ...] = (1,)

@@ -73,6 +73,10 @@ def test_nilpotency_enforced():
     # wrong arrow shape
     with pytest.raises(ValueError):
         CycleModule(2, 2, (1, 1), [[[one, one]], [[one]]])
+    # dims that are not ints: a float or a bool is refused, not rounded
+    for dims in ([1.9, True], [1, True], [1.0, 1]):
+        with pytest.raises(ValueError):
+            CycleModule(2, 2, dims, [[[1]], [[0]]])
 
 
 def test_module_json_round_trip():

@@ -203,8 +203,7 @@ def test_the_module_level_caches_are_pinned():
                     and value.__module__ == module.__name__):
                 found.add(f"{path.stem}.{name}")
     assert found == {f"cyclo.{name}" for name in (
-        "_factorize", "euler_phi", "mobius", "_divisors",
-        "cyclotomic_polynomial", "_phi_reduction_data", "_trace_zeta",
+        "euler_phi", "_phi_reduction_data", "_trace_zeta",
         "root_of_unity", "_roots_at", "cached_mul")}
 
 
