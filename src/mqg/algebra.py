@@ -1,14 +1,19 @@
 """Axiom verification of the Majid algebras M(n, s, q).
 
 `verify_quasi_bialgebra` checks the quasi-bialgebra axioms on every
-basis triple; quasi-associativity and the coproduct are numpy sweeps
-that decide on the integer exponents of mqg.majid's encoding, since the
-q-multinomial and q-Vandermonde identities settle the Gaussian
-binomials.  numpy is imported at the top of
-this module, so a process pays for it when it imports the sweeps, never
-inside a timed call.  The algebra itself, the antipode, the family
-enumerator and JSON import/export are defined in mqg.majid, which loads
-no numpy; their public names are re-exported here.
+basis triple.  Every structure constant is a root of unity times a
+Gaussian binomial in hbar, and the q-multinomial and q-Vandermonde
+identities settle the binomials, so quasi-associativity and the
+coproduct are numpy sweeps that decide on the integer exponents of the
+algebra's one encoding at the family conductor Q (`MajidAlgebra.E`,
+`phi_e`, `vanishes`), a range of lengths at a time, with q-Lucas
+vanishing.  Only a coproduct split whose exponents disagree with
+q-Vandermonde is summed exactly in Q(zeta_Q).  Each sweep returns None
+or the first failing witness in basis loop order.  numpy is imported at
+the top of this module, so a process pays for it when it imports the
+sweeps, never inside a timed call.  The algebra itself, the antipode,
+the family enumerator and JSON import/export are defined in mqg.majid,
+which loads no numpy; their public names are re-exported here.
 """
 from __future__ import annotations
 
@@ -18,9 +23,8 @@ from . import majid
 # re-exported, so mqg.algebra.X is mqg.majid.X
 from .majid import (  # noqa: F401
     ClassificationEntry, MajidAlgebra, StructureError, TruncationError,
-    _IntegerEncoding, admissible_truncations, build_truncated,
-    classify, export_algebra, generation_check, import_algebra,
-    solve_antipode)
+    admissible_truncations, build_truncated, classify, export_algebra,
+    generation_check, import_algebra, solve_antipode)
 
 import numpy as np
 
@@ -31,109 +35,104 @@ __all__ = [*majid.__all__, "verify_quasi_bialgebra"]
 _CHUNK = 1 << 16
 
 
-class _IntegerEngine(_IntegerEncoding):
-    """The integer encoding of M with the numpy sweeps of its two heavy
-    identities.  Every structure constant is a root of unity times a
-    Gaussian binomial in hbar, and the q-multinomial and q-Vandermonde
-    identities settle the binomials, so both sweeps decide on the integer
-    exponents of a range of lengths at a time, with q-Lucas vanishing;
-    only a coproduct split whose exponents disagree with q-Vandermonde is
-    summed exactly in Q(zeta_N).  They return None or the first failing
-    witness in basis loop order.
+def _m_ranges(d, cost):
+    """0..d-1 cut into ranges of m whose summed cost(m), the size of the
+    exponent array over them, stays within _CHUNK entries (one m at
+    least)."""
+    m0 = 0
+    while m0 < d:
+        m1, size = m0 + 1, cost(m0)
+        while m1 < d and size + cost(m1) <= _CHUNK:
+            size, m1 = size + cost(m1), m1 + 1
+        yield m0, m1
+        m0 = m1
+
+
+def _quasi_associativity(M: MajidAlgebra):
+    """Phi(sources) a(bc) = Phi(targets) (ab)c on all basis triples.
+
+    With zeta^eL b1 on the left and zeta^eR b2 on the right, b1 =
+    binom(m+t, m) binom(l+m+t, l) and b2 = binom(l+m, l)
+    binom(l+m+t, l+m) are the same q-trinomial [l+m+t]! / ([l]! [m]!
+    [t]!) at hbar.  Z[zeta_Q] has no zero divisors, so the identity
+    holds iff b1 vanishes or eR = eL mod Q.
     """
+    n, d, Q = M.n, M.d, M.algebra.conductor
+    E, phi_e, vanishes = M.E, M.phi_e, M.vanishes
+    i, j, k = (np.arange(n).reshape(s) for s in
+               ((1, n, 1, 1), (1, 1, n, 1), (1, 1, 1, n)))
+    for l in range(d):
+        for m0, m1 in _m_ranges(d, lambda m: d * n ** 3):
+            # the (m, t) in loop order where b1 does not vanish
+            ms, ts = np.meshgrid(np.arange(m0, m1), np.arange(d),
+                                 indexing="ij")
+            live = ~(vanishes(ms, ts) | vanishes(l, ms + ts))
+            ms, ts = ms[live], ts[live]
+            m, t = ms[:, None, None, None], ts[:, None, None, None]
+            eL = phi_e(i, j, k) + E(j, m, k, t) + E(i, l, (j + k) % n, m + t)
+            eR = (phi_e((i + l) % n, (j + m) % n, (k + t) % n)
+                  + E(i, l, j, m) + E((i + j) % n, l + m, k, t))
+            fails = (eR - eL) % Q != 0
+            if fails.any():
+                p, a, b, c = np.unravel_index(np.argmax(fails), fails.shape)
+                return {"a": f"p({a},{l})", "b": f"p({b},{ms[p]})",
+                        "c": f"p({c},{ts[p]})"}
+    return None
 
-    def _m_ranges(self, cost):
-        """0..d-1 cut into ranges of m whose summed cost(m), the size of
-        the exponent array over them, stays within _CHUNK entries (one m
-        at least)."""
-        m0 = 0
-        while m0 < self.d:
-            m1, size = m0 + 1, cost(m0)
-            while m1 < self.d and size + cost(m1) <= _CHUNK:
-                size, m1 = size + cost(m1), m1 + 1
-            yield m0, m1
-            m0 = m1
 
-    def quasi_associativity(self):
-        """Phi(sources) a(bc) = Phi(targets) (ab)c on all basis triples.
+def _coproduct(M: MajidAlgebra):
+    """The coproduct is an algebra map: for every split position r of
+    the product p(i,l) p(j,m), the convolution of split coefficients
+    reproduces the total coefficient.
 
-        With zeta^eL b1 on the left and zeta^eR b2 on the right, b1 =
-        binom(m+t, m) binom(l+m+t, l) and b2 = binom(l+m, l)
-        binom(l+m+t, l+m) are the same q-trinomial [l+m+t]! / ([l]! [m]!
-        [t]!) at hbar.  Z[zeta_N] has no zero divisors, so the identity
-        holds iff b1 vanishes or eR = eL mod N.
-        """
-        n, d, N = self.n, self.d, self.N
-        E, phi_e, vanishes = self.E, self.phi_e, self.vanishes
-        i, j, k = (np.arange(n).reshape(s) for s in
-                   ((1, n, 1, 1), (1, 1, n, 1), (1, 1, 1, n)))
-        for l in range(d):
-            for m0, m1 in self._m_ranges(lambda m: d * n ** 3):
-                # the (m, t) in loop order where b1 does not vanish
-                ms, ts = np.meshgrid(np.arange(m0, m1), np.arange(d),
-                                     indexing="ij")
-                live = ~(vanishes(ms, ts) | vanishes(l, ms + ts))
-                ms, ts = ms[live], ts[live]
-                m, t = ms[:, None, None, None], ts[:, None, None, None]
-                eL = phi_e(i, j, k) + E(j, m, k, t) + E(i, l, (j + k) % n, m + t)
-                eR = (phi_e((i + l) % n, (j + m) % n, (k + t) % n)
-                      + E(i, l, j, m) + E((i + j) % n, l + m, k, t))
-                fails = (eR - eL) % N != 0
-                if fails.any():
-                    p, a, b, c = np.unravel_index(np.argmax(fails), fails.shape)
-                    return {"a": f"p({a},{l})", "b": f"p({b},{ms[p]})",
-                            "c": f"p({c},{ts[p]})"}
-        return None
+    With u = r - k, q-Vandermonde reads binom(l+m, l) = sum_k
+    hbar^((l-k)u) binom(k+u, k) binom(l+m-r, l-k), so a split holds
+    when each term that does not vanish has the exponent e(k) =
+    E((i+k)%n, l-k, (j+u)%n, m-u) + E(i,k,j,u) - E(i,l,j,m) equal to
+    hb (l-k) u mod Q.  A split where some term disagrees is summed
+    exactly by _split_holds.
+    """
+    n, d, Q, hb = M.n, M.d, M.algebra.conductor, M.algebra._hb
+    E, vanishes = M.E, M.vanishes
+    i, j = np.arange(n)[:, None, None], np.arange(n)[None, :, None]
+    for l in range(d):
+        for m0, m1 in _m_ranges(d, lambda m: (l + 1) * (m + 1) * n * n):
+            # the terms (m, k, u), u <= m, of the splits r = k + u
+            # that do not vanish
+            ms, ks, us = np.meshgrid(np.arange(m0, m1), np.arange(l + 1),
+                                     np.arange(m1), indexing="ij")
+            keep = (us <= ms) & ~(vanishes(ks, us)
+                                  | vanishes(l - ks, ms - us))
+            ms, ks, us = ms[keep], ks[keep], us[keep]
+            # E(i, l, j, m) on each m once, gathered onto the terms
+            total = E(i, l, j, np.arange(m0, m1))[..., ms - m0]
+            e = (E((i + ks) % n, l - ks, (j + us) % n, ms - us)
+                 + E(i, ks, j, us) - total)
+            flagged = (e - hb * (l - ks) * us) % Q != 0
+            if not flagged.any():
+                continue
+            # the flagged splits in loop order (m, i, j, r)
+            fi, fj, v = np.nonzero(flagged)
+            for m, a, b, r in sorted(set(zip(
+                    ms[v].tolist(), fi.tolist(), fj.tolist(),
+                    (ks + us)[v].tolist()))):
+                if not _split_holds(M, a, l, b, m, r):
+                    return {"a": f"p({a},{l})", "b": f"p({b},{m})",
+                            "split": r}
+    return None
 
-    def coproduct(self):
-        """The coproduct is an algebra map: for every split position r of
-        the product p(i,l) p(j,m), the convolution of split coefficients
-        reproduces the total coefficient.
 
-        With u = r - k, q-Vandermonde reads binom(l+m, l) = sum_k
-        hbar^((l-k)u) binom(k+u, k) binom(l+m-r, l-k), so a split holds
-        when each term that does not vanish has the exponent e(k) =
-        E((i+k)%n, l-k, (j+u)%n, m-u) + E(i,k,j,u) - E(i,l,j,m) equal to
-        hb_e (l-k) u mod N.  A split where some term disagrees is summed
-        exactly by _split_holds.
-        """
-        n, d, N, E, vanishes = self.n, self.d, self.N, self.E, self.vanishes
-        i, j = np.arange(n)[:, None, None], np.arange(n)[None, :, None]
-        for l in range(d):
-            for m0, m1 in self._m_ranges(lambda m: (l + 1) * (m + 1) * n * n):
-                # the terms (m, k, u), u <= m, of the splits r = k + u
-                # that do not vanish
-                ms, ks, us = np.meshgrid(np.arange(m0, m1), np.arange(l + 1),
-                                         np.arange(m1), indexing="ij")
-                keep = (us <= ms) & ~(vanishes(ks, us)
-                                      | vanishes(l - ks, ms - us))
-                ms, ks, us = ms[keep], ks[keep], us[keep]
-                e = (E((i + ks) % n, l - ks, (j + us) % n, ms - us)
-                     + E(i, ks, j, us) - E(i, l, j, ms))
-                flagged = (e - self.hb_e * (l - ks) * us) % N != 0
-                if not flagged.any():
-                    continue
-                # the flagged splits in loop order (m, i, j, r)
-                fi, fj, v = np.nonzero(flagged)
-                for m, a, b, r in sorted(set(zip(
-                        ms[v].tolist(), fi.tolist(), fj.tolist(),
-                        (ks + us)[v].tolist()))):
-                    if not self._split_holds(a, l, b, m, r):
-                        return {"a": f"p({a},{l})", "b": f"p({b},{m})",
-                                "split": r}
-        return None
-
-    def _split_holds(self, i, l, j, m, r):
-        """Whether the split r of p(i,l) p(j,m) sums to the total
-        coefficient, exactly in Q(zeta_N)."""
-        n, N, E, binom = self.n, self.N, self.E, self.binomial
-        total = CycloNum.zero()
-        for k in range(max(0, r - m), min(l, r) + 1):
-            u = r - k
-            e = E((i + k) % n, l - k, (j + u) % n, m - u) + E(i, k, j, u)
-            total += (CycloNum(N, rotate(binom(l - k, m - u), e))
-                      * CycloNum(N, binom(k, u)))
-        return total == CycloNum(N, rotate(binom(l, m), E(i, l, j, m)))
+def _split_holds(M: MajidAlgebra, i, l, j, m, r):
+    """Whether the split r of p(i,l) p(j,m) sums to the total
+    coefficient, exactly in Q(zeta_Q)."""
+    n, Q, E, binom = M.n, M.algebra.conductor, M.E, M.algebra.binomial
+    total = CycloNum.zero()
+    for k in range(max(0, r - m), min(l, r) + 1):
+        u = r - k
+        e = E((i + k) % n, l - k, (j + u) % n, m - u) + E(i, k, j, u)
+        total += (CycloNum(Q, rotate(binom(l - k, m - u), e))
+                  * CycloNum(Q, binom(k, u)))
+    return total == CycloNum(Q, rotate(binom(l, m), E(i, l, j, m)))
 
 
 def verify_quasi_bialgebra(M: MajidAlgebra) -> dict:
@@ -168,10 +167,9 @@ def verify_quasi_bialgebra(M: MajidAlgebra) -> dict:
         return fail(rep["reason"], {"counterexample": rep["counterexample"]})
 
     # the exponent sweeps of the two heavy identities
-    engine = _IntegerEngine(M)
-    for name, check in (("quasi-associativity", engine.quasi_associativity),
-                        ("coproduct-multiplicative", engine.coproduct)):
-        witness = check()
+    for name, check in (("quasi-associativity", _quasi_associativity),
+                        ("coproduct-multiplicative", _coproduct)):
+        witness = check(M)
         if witness is not None:
             return fail(name, witness)
     checks["quasi-associativity"] = True

@@ -167,12 +167,17 @@ def cmd_decompose(args) -> int:
     except corep.NotAComoduleError as exc:
         _emit(args, {"error": str(exc)}, f"not a comodule: {exc}")
         return VERIFY_ERROR
+    _emit_summands(args, parts)
+    return 0
+
+
+def _emit_summands(args, parts: dict) -> None:
+    """Emit a decomposition {(top, length): multiplicity}."""
     items = sorted(parts.items())
     _emit(args,
           {"summands": [{"top": i, "length": l, "mult": m}
                         for (i, l), m in items]},
           " + ".join(f"{m} x I({i},{l})" for (i, l), m in items) or "0")
-    return 0
 
 
 def _load_algebra(path: str) -> MajidAlgebra:
@@ -189,11 +194,7 @@ def cmd_tensor(args) -> int:
     left = corep.parse_interval(args.left, M.n, M.d).realize()
     right = corep.parse_interval(args.right, M.n, M.d).realize()
     T = corep.comodule_tensor(M, left, right)
-    parts = sorted(corep.decompose(T).items())
-    _emit(args,
-          {"summands": [{"top": i, "length": l, "mult": m}
-                        for (i, l), m in parts]},
-          " + ".join(f"{m} x I({i},{l})" for (i, l), m in parts))
+    _emit_summands(args, corep.decompose(T))
     return 0
 
 
@@ -230,11 +231,10 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def family_flags(p, need_q=True):
+    def family_flags(p):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--s", type=int, required=True)
-        if need_q:
-            p.add_argument("--q-exp", dest="q_exp", type=int, required=True)
+        p.add_argument("--q-exp", dest="q_exp", type=int, required=True)
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("classify", help="enumerate all (s, q) families")

@@ -31,19 +31,20 @@ __all__ = [
 class CocycleParams:
     n: int
     s: int
-    qq: CycloNum  # the fixed primitive n-th root of unity
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("cycle order n must be >= 2")
         if not 0 <= self.s < self.n:
             raise ValueError("need 0 <= s <= n-1")
-        if self.qq.mult_order() != self.n:
-            raise ValueError("qq must be a primitive n-th root of unity")
+
+    @property
+    def qq(self) -> CycloNum:  # the fixed primitive n-th root of unity
+        return root_of_unity(self.n)
 
     @classmethod
     def standard(cls, n: int, s: int) -> "CocycleParams":
-        return cls(n, s, root_of_unity(n))
+        return cls(n, s)
 
 
 def phi(params: CocycleParams, i: int, j: int, k: int) -> CycloNum:

@@ -5,16 +5,15 @@ M(n, s, q) is the span of the paths p(i, l) with 0 <= i < n and
 scalar hbar.  The multiplication is the closed product formula; the
 truncation at length d is not imposed but emerges from the vanishing of
 the Gaussian binomials, so M is genuinely closed under the ambient
-product.  The algebra, its integer encoding, quasi-antipode solving, the
-family enumerator and JSON import/export live here, and this module
-loads no numpy.  The axiom sweeps, which do, are in mqg.algebra.
+product.  The algebra, its integer encoding at the conductor Q, the
+antipode, the family enumerator and JSON import/export live here; this
+module loads no numpy.  The axiom sweeps, which do, are in mqg.algebra.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
-from math import gcd, lcm
+from math import gcd
 
 from .cyclo import (
     CycloNum,
@@ -117,6 +116,32 @@ class MajidAlgebra:
             return CycloNum.zero()
         return self.phi_grouplike(p.source, -p.source, p.source).inverse()
 
+    # -- integer encoding, at the family conductor Q = algebra.conductor ---
+    # hbar = zeta_Q^algebra._hb and binomials are algebra.binomial; E,
+    # phi_e and beta_e take integers or numpy arrays and read self.s,
+    # which negative controls move.
+
+    def E(self, i, l, j, m):
+        """The exponent with coef(p(i,l) p(j,m)) = zeta_Q^E binom(l+m, l)_hbar
+        for sources in 0..n-1: the one rule `shuffle._product_exponent`."""
+        A = self.algebra
+        return _product_exponent(self.n, self.s, A.conductor, A._hb,
+                                 i, l, j, m)
+
+    def phi_e(self, i, j, k):
+        """Phi(g^i, g^j, g^k) = zeta_Q^phi_e, by `cocycle.phi_exponent`."""
+        return (phi_exponent(CocycleParams(self.n, self.s), i, j, k)
+                * (self.algebra.conductor // self.n))
+
+    def beta_e(self, i):
+        """beta(g^i) = 1/Phi(g^i, g^-i, g^i) = zeta_Q^beta_e."""
+        return -self.phi_e(i, -i % self.n, i)
+
+    def vanishes(self, l, m):
+        """binom(l+m, l)_hbar = 0, for integers or numpy arrays: by q-Lucas,
+        since hbar has order d, iff the base-d last digits carry."""
+        return l % self.d + m % self.d >= self.d
+
     # -- antipode ----------------------------------------------------------
 
     def antipode(self):
@@ -131,81 +156,34 @@ class MajidAlgebra:
 # ---------------------------------------------------------------------------
 
 
-class _IntegerEncoding:
-    """The structure constants of M in the integer encoding.
-
-    For N = lcm(d, n): hbar = zeta_N^hb_e, coef(p(i,l) p(j,m)) =
-    zeta_N^E(i,l,j,m) binom(l+m, l)_hbar for sources in 0..n-1 with E
-    the one rule `shuffle._product_exponent`, Phi(g^i, g^j, g^k) =
-    zeta_N^phi_e(i,j,k) by `cocycle.phi_exponent` and beta(g^i) =
-    zeta_N^beta_e(i); E and phi_e take integers or numpy arrays.
-    Binomials are integer vectors modulo x^N - 1, read from the family's
-    table `QuiverAlgebra.binomial` at stride Q/N, and a value is zero
-    when its vector reduces to 0 modulo Phi_N.
-    """
-
-    def __init__(self, M: MajidAlgebra):
-        n, d = M.n, M.d
-        self.n, self.d = n, d
-        self.N = N = lcm(d, n)  # d is the order of hbar
-        self.hb_e = root_exponent(M.hbar, N)
-        self._algebra = M.algebra
-        # E and Phi read the same s, M.s, which negative controls move
-        self.E = partial(_product_exponent, n, M.s, N, self.hb_e)
-        self._params = CocycleParams.standard(n, M.s)
-
-    def phi_e(self, i, j, k):
-        return phi_exponent(self._params, i, j, k) * (self.N // self.n)
-
-    def beta_e(self, i):
-        # beta(g^i) = 1/Phi(g^i, g^-i, g^i)
-        return -self.phi_e(i, -i % self.n, i)
-
-    def binomial(self, l: int, m: int):
-        """binom(l+m, l)_hbar as a vector: the family's vector mod
-        x^Q - 1 is zero off the multiples of Q/N, since N divides Q and
-        hbar is an N-th root of unity, so every (Q/N)-th entry is it."""
-        A = self._algebra
-        return A.binomial(l, m)[::A.conductor // self.N]
-
-    def vanishes(self, l, m):
-        """binom(l+m, l)_hbar = 0, for integers or numpy arrays: by q-Lucas,
-        since hbar has order d, iff the base-d last digits carry."""
-        d = self.d
-        return l % d + m % d >= d
-
-
 def solve_antipode(M: MajidAlgebra) -> dict:
     """Solve S degree by degree, then verify every antipode identity.
 
     S(p(i,l)) = c_{i,l} p((n-i-l) mod n, l); the scalar at degree l is the
     unique solution of the first antipode equation restricted to p(i,l)
     (the group-like leg of the middle coproduct factor carries alpha).
-    Each c_{i,l} is solved as a signed root of unity +-zeta_N^a in the
-    integer encoding and returned at the conductor of the structure
-    constants.  Returns {(i, l): (coefficient, target path)}.
+    Each c_{i,l} is solved as a signed root of unity +-zeta_Q^a in the
+    integer encoding at the family conductor Q.  Returns {(i, l):
+    (coefficient, target path)}.
     """
-    n, d = M.n, M.d
-    engine = _IntegerEncoding(M)
-    N, E = engine.N, engine.E
-    by_value = {x: key for key, x in _signed_roots(N, N).items()}
+    n, d, Q, E = M.n, M.d, M.algebra.conductor, M.E
+    roots = _signed_roots(Q)
+    by_value = {x: key for key, x in roots.items()}
     c = {(i, 0): (1, 0) for i in range(n)}
     for l in range(1, d):
         for i in range(n):
             # c_{i,l} coef(p(-(i+l),l) p(i,0)) = minus the terms k = 1..l,
-            # and that coefficient is zeta_N^E: binom(l, 0) = 1
-            acc = _first_sum(engine, c, i, l, range(1, l + 1))
-            hit = by_value.get(CycloNum(N, [-x for x in acc]))
+            # and that coefficient is zeta_Q^E: binom(l, 0) = 1
+            acc = _first_sum(M, c, i, l, range(1, l + 1))
+            hit = by_value.get(CycloNum(Q, [-x for x in acc]))
             if hit is None:
                 raise StructureError(
                     f"antipode coefficient at degree {l}, vertex {i} is not "
                     "a root of unity")
-            c[(i, l)] = (hit[0], (hit[1] - E(-(i + l) % n, l, i, 0)) % N)
-    one = CycloNum.one()
-    # at the conductor of the structure constants, a multiple of N
-    out = _signed_roots(N, M.algebra.conductor)
+            c[(i, l)] = (hit[0], (hit[1] - E(-(i + l) % n, l, i, 0)) % Q)
     table = {
-        (i, l): (out[c[(i, l)]] if l else one, Path(n, -(i + l), l))
+        (i, l): (roots[c[(i, l)]] if l else CycloNum.one(),
+                 Path(n, -(i + l), l))
         for i in range(n)
         for l in range(d)
     }
@@ -213,56 +191,49 @@ def solve_antipode(M: MajidAlgebra) -> dict:
     return table
 
 
-def _signed_roots(N: int, K: int) -> dict:
-    """sign * zeta_N^b as a CycloNum at conductor K, a multiple of N, keyed
-    by (sign, b) for 0 <= b < N.  For even N, -1 is a power of zeta_N and
-    the sign is always 1, so every value has exactly one key."""
-    out = {}
-    for sg in ((1,) if N % 2 == 0 else (1, -1)):
-        for b in range(N):
-            v = [0] * K
-            v[b * (K // N)] = sg
-            out[(sg, b)] = CycloNum(K, v)
-    return out
+def _signed_roots(Q: int) -> dict:
+    """sign * zeta_Q^b as a CycloNum, keyed by (sign, b) for 0 <= b < Q.
+    For even Q, -1 is a power of zeta_Q and the sign is always 1, so
+    every value has exactly one key."""
+    signs = (1,) if Q % 2 == 0 else (1, -1)
+    return {(sg, b): CycloNum(Q, [0] * b + [sg] + [0] * (Q - 1 - b))
+            for sg in signs for b in range(Q)}
 
 
-def _first_sum(engine: _IntegerEncoding, c: dict, i: int, l: int, ks):
+def _first_sum(M: MajidAlgebra, c: dict, i: int, l: int, ks):
     """sum over k in ks of S(p(i+k,l-k)) p(i,k), for the signed exponents
     c of S: the coefficient vector on the common target p(-l, l)."""
-    n, N, E = engine.n, engine.N, engine.E
-    acc = [0] * N
+    n, Q, E, binom = M.n, M.algebra.conductor, M.E, M.algebra.binomial
+    acc = [0] * Q
     for k in ks:
         sg, a = c[((i + k) % n, l - k)]
-        v = rotate(engine.binomial(l - k, k), a + E(-(i + l) % n, l - k, i, k))
-        for x in range(N):
-            acc[x] += sg * v[x]
+        e = a + E(-(i + l) % n, l - k, i, k)
+        for x, y in enumerate(rotate(binom(l - k, k), e)):
+            acc[x] += sg * y
     return acc
 
 
-def _second_sum(engine: _IntegerEncoding, c: dict, i: int, l: int, beta: bool):
+def _second_sum(M: MajidAlgebra, c: dict, i: int, l: int, beta: bool):
     """sum over k of beta(g^(i+k)) p(i+k,l-k) S(p(i,k)), without beta when
     not `beta`: the coefficient vector on the common target p(0, l)."""
-    n, N, E = engine.n, engine.N, engine.E
-    acc = [0] * N
+    n, Q, E, binom = M.n, M.algebra.conductor, M.E, M.algebra.binomial
+    acc = [0] * Q
     for k in range(l + 1):
         sg, a = c[(i, k)]
         e = a + E((i + k) % n, l - k, -(i + k) % n, k)
         if beta:
-            e += engine.beta_e((i + k) % n)
-        v = rotate(engine.binomial(l - k, k), e)
-        for x in range(N):
-            acc[x] += sg * v[x]
+            e += M.beta_e((i + k) % n)
+        for x, y in enumerate(rotate(binom(l - k, k), e)):
+            acc[x] += sg * y
     return acc
 
 
 def _verify_antipode(M: MajidAlgebra, table: dict) -> None:
     """Raise StructureError unless `table` satisfies every antipode
     identity, checked on integer vectors and exponents."""
-    n = M.n
-    engine = _IntegerEncoding(M)
-    N, phi_e, beta_e = engine.N, engine.phi_e, engine.beta_e
+    n, Q, phi_e, beta_e = M.n, M.algebra.conductor, M.phi_e, M.beta_e
 
-    by_value = {x: key for key, x in _signed_roots(N, N).items()}
+    by_value = {x: key for key, x in _signed_roots(Q).items()}
     c = {}
     for p in M.basis:
         i, l = p.source, p.length
@@ -275,18 +246,18 @@ def _verify_antipode(M: MajidAlgebra, table: dict) -> None:
         c[(i, l)] = hit
 
     def is_unit(acc, l, w=0):
-        """acc is zeta_N^w times the unit when l = 0, else zero."""
+        """acc is zeta_Q^w times the unit when l = 0, else zero."""
         if l == 0:
-            acc[w % N] -= 1
-        return int_vec_zero_mod_phi(acc, N)
+            acc[w % Q] -= 1
+        return int_vec_zero_mod_phi(acc, Q)
 
     for p in M.basis:
         i, l = p.source, p.length
         # S(a1) alpha(a2) a3 = alpha(a) 1
-        if not is_unit(_first_sum(engine, c, i, l, range(l + 1)), l):
+        if not is_unit(_first_sum(M, c, i, l, range(l + 1)), l):
             raise StructureError(f"first antipode equation fails on {p}")
         # a1 beta(a2) S(a3) = beta(a) 1
-        if not is_unit(_second_sum(engine, c, i, l, True), l, beta_e(i)):
+        if not is_unit(_second_sum(M, c, i, l, True), l, beta_e(i)):
             raise StructureError(f"second antipode equation fails on {p}")
         # Phi(a1, S(a3), a5) beta(a2) alpha(a4) = eps(a)
         #   and Phi^{-1}(S(a1), a3, S(a5)) alpha(a2) beta(a4) = eps(a):
@@ -294,8 +265,8 @@ def _verify_antipode(M: MajidAlgebra, table: dict) -> None:
         # five legs of the 4-fold coproduct are g^i, has a term
         if l == 0:
             sg, a = c[(i, 0)]
-            first = (phi_e(i, -i % n, i) + a + beta_e(i)) % N
-            second = (-phi_e(-i % n, i, -i % n) + 2 * a + beta_e(i)) % N
+            first = (phi_e(i, -i % n, i) + a + beta_e(i)) % Q
+            second = (-phi_e(-i % n, i, -i % n) + 2 * a + beta_e(i)) % Q
             if sg != 1 or first or second:
                 raise StructureError(f"zigzag antipode equation fails on {p}")
         # coalgebra antimorphism: c_{i,k} c_{i+k,l-k} = c_{i,l}
@@ -303,7 +274,7 @@ def _verify_antipode(M: MajidAlgebra, table: dict) -> None:
         for k in range(l + 1):
             sg1, a1 = c[(i, k)]
             sg2, a2 = c[((i + k) % n, l - k)]
-            if sg1 * sg2 != sg or (a1 + a2 - a) % N:
+            if sg1 * sg2 != sg or (a1 + a2 - a) % Q:
                 raise StructureError(
                     f"antipode is not a coalgebra antimorphism at {p}")
     # s = 0 is an honest Hopf algebra: m(S (x) id)Delta = eta eps = m(id (x) S)Delta.
@@ -312,7 +283,7 @@ def _verify_antipode(M: MajidAlgebra, table: dict) -> None:
     if M.s == 0:
         for p in M.basis:
             i, l = p.source, p.length
-            if not is_unit(_second_sum(engine, c, i, l, False), l):
+            if not is_unit(_second_sum(M, c, i, l, False), l):
                 raise StructureError(f"Hopf antipode identity fails on {p}")
 
 

@@ -8,7 +8,7 @@ Two independent evaluation routes exist for products of paths:
   `quiver.thin_splits` is a test oracle).  It does not know the closed
   form.
 * the closed product formula: coef(p(i,l) p(j,m)) is a root of unity
-  zeta_N^E(i,l,j,m) times the Gaussian binomial (l+m choose l)_hbar.
+  zeta_Q^E(i,l,j,m) times the Gaussian binomial (l+m choose l)_hbar.
   `_product_exponent` is the one rule for E and `QuiverAlgebra.binomial`
   reads the family's one table of binomials, both on integers.
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from mqg import majid
+from mqg import algebra, majid
 from mqg.cyclo import (
     CycloNum,
     _reduce_mod_phi,
@@ -19,7 +19,6 @@ from mqg.quiver import Path, PathVector
 from mqg.shuffle import QuiverAlgebra
 from mqg.algebra import (
     MajidAlgebra,
-    _IntegerEngine,
     StructureError,
     TruncationError,
     admissible_truncations,
@@ -31,10 +30,11 @@ from mqg.algebra import (
     solve_antipode,
     verify_quasi_bialgebra,
 )
+from mqg.algebra import _coproduct, _quasi_associativity
 from mqg.majid import _verify_antipode
 import antipode_oracle
 import bialgebra_oracle
-from test_cyclo import bucket, cyclic_mul, gauss_binomial_rows
+from test_cyclo import cyclic_mul
 
 
 def _M(n, s, which=0):
@@ -145,13 +145,14 @@ def test_counit_check_reads_the_vertex_products():
     assert rep["witness"] == {"a": str(g), "b": str(g)}
 
 
-def _first_associativity_failure(engine):
+def _first_associativity_failure(M):
     """Quasi-associativity triple by triple in the integer encoding, with
     no skipping and no memo: the first failing (a, b, c)."""
-    n, d, N, E, phi_e = engine.n, engine.d, engine.N, engine.E, engine.phi_e
+    n, d, Q, E, phi_e = M.n, M.d, M.algebra.conductor, M.E, M.phi_e
 
     def pair(l1, m1, l2, m2):
-        return cyclic_mul(engine.binomial(l1, m1), engine.binomial(l2, m2))
+        return cyclic_mul(M.algebra.binomial(l1, m1),
+                          M.algebra.binomial(l2, m2))
 
     for l in range(d):
         for m in range(d):
@@ -166,16 +167,16 @@ def _first_associativity_failure(engine):
                                   + E(i, l, j, m) + E((i + j) % n, l + m, k, t))
                             diff = [x - y for x, y in
                                     zip(rotate(b1, eL), rotate(b2, eR))]
-                            if not int_vec_zero_mod_phi(diff, N):
+                            if not int_vec_zero_mod_phi(diff, Q):
                                 return {"a": f"p({i},{l})", "b": f"p({j},{m})",
                                         "c": f"p({k},{t})"}
     return None
 
 
-def _first_coproduct_failure(engine):
+def _first_coproduct_failure(M):
     """Multiplicativity of the coproduct split by split in the integer
     encoding, with no memo: the first failing (a, b, split)."""
-    n, d, N, E, binom = engine.n, engine.d, engine.N, engine.E, engine.binomial
+    n, d, Q, E, binom = M.n, M.d, M.algebra.conductor, M.E, M.algebra.binomial
     for l in range(d):
         for m in range(d):
             for i in range(n):
@@ -190,7 +191,7 @@ def _first_coproduct_failure(engine):
                             v = rotate(cyclic_mul(binom(l - k, m - u),
                                                   binom(k, u)), e)
                             acc = [x + y for x, y in zip(acc, v)]
-                        if not int_vec_zero_mod_phi(acc, N):
+                        if not int_vec_zero_mod_phi(acc, Q):
                             return {"a": f"p({i},{l})", "b": f"p({j},{m})",
                                     "split": r}
     return None
@@ -198,7 +199,7 @@ def _first_coproduct_failure(engine):
 
 def _hbar_of_order_4_at_s_0():
     """M(2, 1, zeta_4), whose hbar is zeta_4, with s moved to 0: the
-    engine reads hbar and its binomials from the family and s from M."""
+    sweeps read hbar and its binomials from the family and s from M."""
     M = _M(2, 1)
     M.s = 0
     assert (M.n, M.d, M.hbar) == (2, 4, root_of_unity(4))
@@ -209,10 +210,9 @@ def test_integer_engine_negative_control():
     # an inconsistent s: the reassociator no longer matches the products
     M = _M(3, 1)
     M.s = 2
-    engine = _IntegerEngine(M)
-    witness = engine.quasi_associativity()
+    witness = _quasi_associativity(M)
     assert witness is not None
-    assert witness == _first_associativity_failure(engine)
+    assert witness == _first_associativity_failure(M)
     rep = verify_quasi_bialgebra(M)
     assert not rep["passed"]
     assert rep["failed"] == "quasi-associativity"
@@ -220,11 +220,11 @@ def test_integer_engine_negative_control():
     # hbar of order 4 on the cycle of order 2 (d = 4) with s = 0:
     # quasi-associativity fails first in the report, so the coproduct
     # check is run on its own
-    engine = _IntegerEngine(_hbar_of_order_4_at_s_0())
-    witness = engine.coproduct()
+    M = _hbar_of_order_4_at_s_0()
+    witness = _coproduct(M)
     assert witness is not None
-    assert witness == _first_coproduct_failure(engine)
-    assert _first_coproduct_failure(_IntegerEngine(_M(2, 1))) is None
+    assert witness == _first_coproduct_failure(M)
+    assert _first_coproduct_failure(_M(2, 1)) is None
 
 
 def _families(max_n):
@@ -232,43 +232,26 @@ def _families(max_n):
             for which in range(len(legal_q_values(CocycleParams.standard(n, s))))]
 
 
-def test_engine_binomials_fold_the_gauss_polynomial():
-    # the family's vectors mod x^Q - 1 read at stride Q/N are the
-    # Gaussian polynomial folded at (N, hb_e), for every family n <= 6
-    # and every l + m <= 2d
-    engines = [_IntegerEngine(_M(*f)) for f in _families(6)]
-    top = max(2 * engine.d for engine in engines)
-    cells = 0
-    for t, row in enumerate(gauss_binomial_rows(top)):
-        for engine in engines:
-            if t <= 2 * engine.d:
-                for l, poly in enumerate(row):
-                    assert engine.binomial(l, t - l) == tuple(
-                        bucket(poly, engine.N, engine.hb_e)), (engine.n, l, t - l)
-                    cells += 1
-    assert cells == 73293
-
-
 @pytest.mark.parametrize("n,s,which", _families(4))
 def test_q_lucas_vanishing_matches_the_vectors(n, s, which):
     # every binomial the sweeps read: a, b <= 2d - 2 with a < d or b < d
-    engine = _IntegerEngine(_M(n, s, which))
-    d, N = engine.d, engine.N
+    M = _M(n, s, which)
+    d, Q = M.d, M.algebra.conductor
     for a in range(2 * d - 1):
         for b in range(2 * d - 1 if a < d else d):
-            low = _reduce_mod_phi(engine.binomial(a, b), N)
-            assert engine.vanishes(a, b) == (not any(low)), (a, b)
+            low = _reduce_mod_phi(M.algebra.binomial(a, b), Q)
+            assert M.vanishes(a, b) == (not any(low)), (a, b)
 
 
-def _tampered_engines(n, s, which):
-    """Engines whose structure constants no longer fit: s moved by one,
+def _tampered_algebras(n, s, which):
+    """Algebras whose structure constants no longer fit: s moved by one,
     and one exponent E(i0, l0, j0, m0) moved by one, late in loop order.
     (Inverting hbar keeps every identity, so it would test nothing.)"""
     M = _M(n, s, which)
     M.s = (s + 1) % n
-    yield _IntegerEngine(M)
-    engine = _IntegerEngine(_M(n, s, which))
-    E, d = engine.E, engine.d
+    yield M
+    M = _M(n, s, which)
+    E, d = M.E, M.d
     at = (n - 1, d // 2, 1, (d - 1) // 2)
 
     def tampered(i, l, j, m):
@@ -276,53 +259,54 @@ def _tampered_engines(n, s, which):
         hit = (i == at[0]) & (l == at[1]) & (j == at[2]) & (m == at[3])
         return E(i, l, j, m) + hit
 
-    engine.E = tampered
-    yield engine
+    M.E = tampered
+    yield M
 
 
 def test_sweep_witnesses_match_the_plain_loops():
     witnesses = set()
     for n, s, which in _families(3):
-        for engine in _tampered_engines(n, s, which):
-            witness = engine.quasi_associativity()
-            assert witness == _first_associativity_failure(engine), (n, s, which)
+        for M in _tampered_algebras(n, s, which):
+            witness = _quasi_associativity(M)
+            assert witness == _first_associativity_failure(M), (n, s, which)
             witnesses.add(json.dumps(witness))
-            witness = engine.coproduct()
-            assert witness == _first_coproduct_failure(engine), (n, s, which)
+            witness = _coproduct(M)
+            assert witness == _first_coproduct_failure(M), (n, s, which)
             witnesses.add(json.dumps(witness))
     assert len(witnesses) >= 10
 
 
 def test_opposite_multiplication_is_decided_by_the_exact_check(monkeypatch):
-    # E(i, l, j, m) = hb_e i m is the opposite algebra of the s = 0 family,
+    # E(i, l, j, m) = hb i m is the opposite algebra of the s = 0 family,
     # again a bialgebra; its splits carry the other q-Vandermonde exponents,
     # hb k (m - u), so the exponent rule flags them and the exact sum in
-    # Q(zeta_N) must pass each one
+    # Q(zeta_Q) must pass each one
     reached = []
-    split_holds = _IntegerEngine._split_holds
+    split_holds = algebra._split_holds
 
-    def spy(self, *split):
+    def spy(M, *split):
         reached.append(split)
-        return split_holds(self, *split)
+        return split_holds(M, *split)
 
-    monkeypatch.setattr(_IntegerEngine, "_split_holds", spy)
+    monkeypatch.setattr(algebra, "_split_holds", spy)
     for which in (1, 3):  # M(4,0,zeta_4) and M(4,0,zeta_4^3)
-        engine = _IntegerEngine(_M(4, 0, which))
-        hb_e = engine.hb_e
-        assert hb_e in (1, 3)
-        engine.E = lambda i, l, j, m: hb_e * i * m
+        M = _M(4, 0, which)
+        hb = M.algebra._hb
+        assert hb in (1, 3)
+        M.E = lambda i, l, j, m: hb * i * m
         reached.clear()
-        assert engine.quasi_associativity() is None
-        assert engine.coproduct() is None
-        assert _first_coproduct_failure(engine) is None
+        assert _quasi_associativity(M) is None
+        assert _coproduct(M) is None
+        assert _first_coproduct_failure(M) is None
         assert reached
 
 
-# (n, s, index into legal_q_values): every family with n <= 3 and M(4,1,zeta_16)
+# (n, s, index into legal_q_values): every family with n <= 3, M(4,1,zeta_16)
+# and three families where lcm(d, n) < Q: d = 8, 12 and 9
 _ANTIPODE_FAMILIES = [
     (n, s, which) for n in (2, 3) for s in range(n)
     for which in range(len(legal_q_values(CocycleParams.standard(n, s))))
-] + [(4, 1, 0)]
+] + [(4, 1, 0), (4, 2, 0), (6, 3, 0), (6, 4, 0)]
 
 
 @pytest.mark.parametrize("n,s,which", _ANTIPODE_FAMILIES)

@@ -24,8 +24,10 @@ def test_params_validation():
         CocycleParams.standard(1, 0)
     with pytest.raises(ValueError):
         CocycleParams.standard(3, 3)
-    with pytest.raises(ValueError):
-        CocycleParams(4, 1, root_of_unity(3))  # not a primitive 4th root
+    # qq is pinned to zeta_n, not a field
+    assert CocycleParams(4, 1).qq == root_of_unity(4)
+    with pytest.raises(TypeError):
+        CocycleParams(4, 1, root_of_unity(4))
 
 
 def test_phi_values():
