@@ -9,11 +9,24 @@ algebra's one encoding at the family conductor Q (`MajidAlgebra.E`,
 `phi_e`, `vanishes`), a range of lengths at a time, with q-Lucas
 vanishing.  Only a coproduct split whose exponents disagree with
 q-Vandermonde is summed exactly in Q(zeta_Q).  Each sweep returns None
-or the first failing witness in basis loop order.  numpy is imported at
-the top of this module, so a process pays for it when it imports the
-sweeps, never inside a timed call.  The algebra itself, the antipode,
-the family enumerator and JSON import/export are defined in mqg.majid,
-which loads no numpy; their public names are re-exported here.
+or the first failing witness in basis loop order.
+
+Both sweeps take the first source i in {0, 1} only, once `_sources`
+has checked the tables of E (lengths to 2d - 2) and phi_e affine mod Q
+in their first source, E(i, .) = E(0, .) + i (E(1, .) - E(0, .)), with
+n times the slope 0 mod Q.  Both slopes are multiples of Q/n, so this
+holds for every family, and a substituted source such as (i + j) mod n
+keeps an exponent affine in i.  Every exponent the sweeps compare is a
+sum of such terms, and an affine exponent vanishes on 0..n-1 iff it
+vanishes at 0 and 1, so the reduced sweeps decide the same identities.
+Where the check fails, both sweeps run over every source, and a
+coproduct chunk that flags a term is flagged again over every source.
+
+numpy is imported at the top of this module, so a process pays for it
+when it imports the sweeps, never inside a timed call.  The algebra
+itself, the antipode, the family enumerator and JSON import/export are
+defined in mqg.majid, which loads no numpy; their public names are
+re-exported here.
 """
 from __future__ import annotations
 
@@ -48,21 +61,50 @@ def _m_ranges(d, cost):
         m0 = m1
 
 
-def _quasi_associativity(M: MajidAlgebra):
+def _sources(M: MajidAlgebra) -> int:
+    """How many first sources i both sweeps take: 2 if the tables of M.E
+    (lengths to 2d - 2) and of M.phi_e are affine mod Q in their first
+    source, else n.  n = 2 is not checked: range(2) is every source."""
+    n, d, Q = M.n, M.d, M.algebra.conductor
+    if n == 2:
+        return 2
+    i, lengths = np.arange(n), np.arange(2 * d - 1)
+    tables = (M.E(i[:, None, None, None], lengths[:, None, None], i[:, None],
+                  lengths),
+              M.phi_e(i[:, None, None], i[:, None], i))
+    return 2 if all(_affine(e, n, Q) for e in tables) else n
+
+
+def _affine(e, n, Q):
+    """Whether the table e, whose first axis is the source i in 0..n-1,
+    is e(0) + i (e(1) - e(0)) mod Q with n (e(1) - e(0)) = 0 mod Q: then
+    so is e((i + x) mod n) for any x."""
+    i = np.arange(n).reshape((n,) + (1,) * (e.ndim - 1))
+    slope = e[1] - e[0]
+    return not ((n * slope) % Q).any() and not (
+        (e - e[0] - i * slope) % Q).any()
+
+
+def _quasi_associativity(M: MajidAlgebra, sources=None):
     """Phi(sources) a(bc) = Phi(targets) (ab)c on all basis triples.
 
     With zeta^eL b1 on the left and zeta^eR b2 on the right, b1 =
     binom(m+t, m) binom(l+m+t, l) and b2 = binom(l+m, l)
     binom(l+m+t, l+m) are the same q-trinomial [l+m+t]! / ([l]! [m]!
     [t]!) at hbar.  Z[zeta_Q] has no zero divisors, so the identity
-    holds iff b1 vanishes or eR = eL mod Q.
+    holds iff b1 vanishes or eR = eL mod Q.  The first source of a runs
+    over range(sources), by default _sources(M): eR - eL is affine in it
+    once the tables are, so a failure at any source is one at source 0
+    or 1 for the same (b, c), and the first witness is the same.
     """
     n, d, Q = M.n, M.d, M.algebra.conductor
     E, phi_e, vanishes = M.E, M.phi_e, M.vanishes
-    i, j, k = (np.arange(n).reshape(s) for s in
-               ((1, n, 1, 1), (1, 1, n, 1), (1, 1, 1, n)))
+    if sources is None:
+        sources = _sources(M)
+    i = np.arange(sources).reshape(1, sources, 1, 1)
+    j, k = np.arange(n).reshape(1, 1, n, 1), np.arange(n).reshape(1, 1, 1, n)
     for l in range(d):
-        for m0, m1 in _m_ranges(d, lambda m: d * n ** 3):
+        for m0, m1 in _m_ranges(d, lambda m: d * sources * n * n):
             # the (m, t) in loop order where b1 does not vanish
             ms, ts = np.meshgrid(np.arange(m0, m1), np.arange(d),
                                  indexing="ij")
@@ -80,7 +122,7 @@ def _quasi_associativity(M: MajidAlgebra):
     return None
 
 
-def _coproduct(M: MajidAlgebra):
+def _coproduct(M: MajidAlgebra, sources=None):
     """The coproduct is an algebra map: for every split position r of
     the product p(i,l) p(j,m), the convolution of split coefficients
     reproduces the total coefficient.
@@ -90,13 +132,18 @@ def _coproduct(M: MajidAlgebra):
     when each term that does not vanish has the exponent e(k) =
     E((i+k)%n, l-k, (j+u)%n, m-u) + E(i,k,j,u) - E(i,l,j,m) equal to
     hb (l-k) u mod Q.  A split where some term disagrees is summed
-    exactly by _split_holds.
+    exactly by _split_holds.  The source i runs over range(sources), by
+    default _sources(M), where e(k) is affine in i; a chunk that flags
+    a term is flagged again over every i, so _split_holds sees the same
+    splits in the same order.
     """
     n, d, Q, hb = M.n, M.d, M.algebra.conductor, M.algebra._hb
     E, vanishes = M.E, M.vanishes
-    i, j = np.arange(n)[:, None, None], np.arange(n)[None, :, None]
+    if sources is None:
+        sources = _sources(M)
+    j = np.arange(n)[None, :, None]
     for l in range(d):
-        for m0, m1 in _m_ranges(d, lambda m: (l + 1) * (m + 1) * n * n):
+        for m0, m1 in _m_ranges(d, lambda m: (l + 1) * (m + 1) * sources * n):
             # the terms (m, k, u), u <= m, of the splits r = k + u
             # that do not vanish
             ms, ks, us = np.meshgrid(np.arange(m0, m1), np.arange(l + 1),
@@ -104,13 +151,19 @@ def _coproduct(M: MajidAlgebra):
             keep = (us <= ms) & ~(vanishes(ks, us)
                                   | vanishes(l - ks, ms - us))
             ms, ks, us = ms[keep], ks[keep], us[keep]
-            # E(i, l, j, m) on each m once, gathered onto the terms
-            total = E(i, l, j, np.arange(m0, m1))[..., ms - m0]
-            e = (E((i + ks) % n, l - ks, (j + us) % n, ms - us)
-                 + E(i, ks, j, us) - total)
-            flagged = (e - hb * (l - ks) * us) % Q != 0
+
+            def flags(count):
+                # the terms whose exponent disagrees, for i < count
+                i = np.arange(count)[:, None, None]
+                e = (E((i + ks) % n, l - ks, (j + us) % n, ms - us)
+                     + E(i, ks, j, us) - E(i, l, j, ms))
+                return (e - hb * (l - ks) * us) % Q != 0
+
+            flagged = flags(sources)
             if not flagged.any():
                 continue
+            if sources < n:
+                flagged = flags(n)
             # the flagged splits in loop order (m, i, j, r)
             fi, fj, v = np.nonzero(flagged)
             for m, a, b, r in sorted(set(zip(
@@ -141,7 +194,11 @@ def verify_quasi_bialgebra(M: MajidAlgebra) -> dict:
     Quasi-associativity on all basis triples with the graded
     reassociator, the unit law, the pentagon and normalization on
     group-likes, and multiplicativity of the coproduct and counit.  The
-    report carries the first failing identity with a witness.
+    report carries the first failing identity with a witness.  The
+    affinity of the exponent tables in the first source is checked once,
+    and both sweeps take the sources {0, 1} where it holds and every
+    source where it does not: the same verdicts and witnesses as a sweep
+    over every source (see the module docstring).
     """
     n = M.n
     checks = {}
@@ -166,10 +223,12 @@ def verify_quasi_bialgebra(M: MajidAlgebra) -> dict:
     if not rep["passed"]:
         return fail(rep["reason"], {"counterexample": rep["counterexample"]})
 
-    # the exponent sweeps of the two heavy identities
+    # the exponent sweeps of the two heavy identities, on the first
+    # sources that the affinity of the tables leaves
+    sources = _sources(M)
     for name, check in (("quasi-associativity", _quasi_associativity),
                         ("coproduct-multiplicative", _coproduct)):
-        witness = check(M)
+        witness = check(M, sources)
         if witness is not None:
             return fail(name, witness)
     checks["quasi-associativity"] = True

@@ -74,11 +74,11 @@ def _verdict(num, ok, detail):
 
 
 def test_criterion_01_cocycle_suite():
-    """Pentagon identity and normalization, n <= 16, all s, exact."""
+    """Pentagon identity and normalization, n <= 24, all s, exact."""
     t0 = time.time()
     checked = 0
     ok = True
-    for n in range(2, 17):
+    for n in range(2, 25):
         for s in range(n):
             rep = pentagon_report(CocycleParams.standard(n, s))
             checked += 1
@@ -89,7 +89,7 @@ def test_criterion_01_cocycle_suite():
     dt = time.time() - t0
     _verdict(1, ok and dt < 10,
              f"pentagon+normalization exact on {checked} (n,s) pairs, "
-             f"n <= 16, in {dt:.2f}s (< 10s)")
+             f"n <= 24, in {dt:.2f}s (< 10s)")
 
 
 def test_criterion_02_twisted_algebra_suite():
@@ -192,11 +192,11 @@ def test_criterion_05_dimension_claim():
 
 def test_criterion_06_axiom_suite():
     """Full quasi-bialgebra verification on all basis triples and the
-    solved antipode with every antipode identity, n <= 6, all (s, q)."""
+    solved antipode with every antipode identity, n <= 7, all (s, q)."""
     t0 = time.time()
     ok = True
     count = 0
-    for n in range(2, 7):
+    for n in range(2, 8):
         for params, s, q in _families(n):
             M = MajidAlgebra.build(n, s, q)
             rep = verify_quasi_bialgebra(M)
@@ -208,7 +208,7 @@ def test_criterion_06_axiom_suite():
             count += 1
     dt = time.time() - t0
     _verdict(6, ok and dt < 300,
-             f"axioms + antipode exact on all {count} families, n <= 6, "
+             f"axioms + antipode exact on all {count} families, n <= 7, "
              f"in {dt:.2f}s (< 300s)")
 
 

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -129,6 +130,81 @@ def test_pentagon_report_matches_the_plain_loop():
         "reason": "normalization"}
     # exponents count mod n: qq^4 = 1
     assert both({(3, 0, 1): 4})["passed"]
+
+
+@pytest.fixture
+def sources_seen(monkeypatch):
+    """What cocycle._sources returns, call by call: 2 where the pentagon
+    sweeps the first sources {0, 1}, n where it falls back to all."""
+    seen = []
+    sources = cocycle._sources
+
+    def spy(e, n):
+        seen.append(sources(e, n))
+        return seen[-1]
+
+    monkeypatch.setattr(cocycle, "_sources", spy)
+    return seen
+
+
+def _affine_in_i(table, n):
+    """e(i, j, k) = e(0, j, k) + i (e(1, j, k) - e(0, j, k)) mod n, plainly."""
+    return all((table[(i, j, k)] - table[(0, j, k)]
+                - i * (table[(1, j, k)] - table[(0, j, k)])) % n == 0
+               for i, j, k in product(range(n), repeat=3))
+
+
+def _both_reports(params, table):
+    """pentagon_report on an exponent table, asserted equal to the plain
+    loop over the CycloNum values qq^e."""
+    rep = pentagon_report(params, phi_table=table)
+    assert rep == _plain_pentagon_report(
+        params, {key: params.qq ** e for key, e in table.items()})
+    return rep
+
+
+def test_pentagon_sweeps_two_sources_on_affine_tables(sources_seen):
+    for n in range(2, 7):
+        for s in range(n):
+            params = CocycleParams.standard(n, s)
+            assert pentagon_report(params) == _plain_pentagon_report(params)
+    assert sources_seen == [2] * 20
+    # affine in i but no cocycle: e(i, j, k) = i c(j, k) with c(j, k) =
+    # j k^2, whose coboundary 2 j k l is not 0 mod an odd n, so the
+    # pentagon fails, first at i = 1, through the reduced sweep
+    for n in (3, 5, 7):
+        table = {(i, j, k): i * j * k * k % n
+                 for i, j, k in product(range(n), repeat=3)}
+        sources_seen.clear()
+        rep = _both_reports(CocycleParams.standard(n, 0), table)
+        assert sources_seen == [2]
+        assert rep == {"passed": False, "counterexample": [1, 1, 1, 1],
+                       "reason": "pentagon"}
+
+
+def test_pentagon_report_matches_the_plain_loop_on_tampered_tables(
+        sources_seen):
+    # one or two exponents moved in the cocycle tables with n <= 7: the
+    # same report as the plain loop, on all sources exactly where the
+    # table is not affine in i (normalization fails before the sweep)
+    rng = random.Random(0)
+    fallbacks = 0
+    for _ in range(1000):
+        n = rng.randrange(2, 8)
+        params = CocycleParams.standard(n, rng.randrange(n))
+        table = {key: phi_exponent(params, *key)
+                 for key in product(range(n), repeat=3)}
+        for key in rng.sample(sorted(table), rng.randint(1, 2)):
+            table[key] += rng.randrange(1, n)
+        sources_seen.clear()
+        rep = _both_reports(params, table)
+        if rep.get("reason") == "normalization":
+            assert sources_seen == []
+            continue
+        affine = _affine_in_i(table, n)
+        assert sources_seen == [2 if affine else n]
+        fallbacks += not affine
+    assert fallbacks > 100
 
 
 def test_sigma_is_two_cocycle():
