@@ -11,7 +11,7 @@ vanishing.  Only a coproduct split whose exponents disagree with
 q-Vandermonde is summed exactly in Q(zeta_Q).  Each sweep returns None
 or the first failing witness in basis loop order.
 
-Both sweeps take the first source i in {0, 1} only, once `_sources`
+Each sweep takes the first source i in {0, 1} only, once `_source_count`
 has checked the tables of E (lengths to 2d - 2) and phi_e affine mod Q
 in their first source, E(i, .) = E(0, .) + i (E(1, .) - E(0, .)), with
 n times the slope 0 mod Q.  Both slopes are multiples of Q/n, so this
@@ -61,8 +61,8 @@ def _m_ranges(d, cost):
         m0 = m1
 
 
-def _sources(M: MajidAlgebra) -> int:
-    """How many first sources i both sweeps take: 2 if the tables of M.E
+def _source_count(M: MajidAlgebra) -> int:
+    """How many first sources i each sweep takes: 2 if the tables of M.E
     (lengths to 2d - 2) and of M.phi_e are affine mod Q in their first
     source, else n.  n = 2 is not checked: range(2) is every source."""
     n, d, Q = M.n, M.d, M.algebra.conductor
@@ -85,7 +85,7 @@ def _affine(e, n, Q):
         (e - e[0] - i * slope) % Q).any()
 
 
-def _quasi_associativity(M: MajidAlgebra, sources=None):
+def _quasi_associativity(M: MajidAlgebra):
     """Phi(sources) a(bc) = Phi(targets) (ab)c on all basis triples.
 
     With zeta^eL b1 on the left and zeta^eR b2 on the right, b1 =
@@ -93,18 +93,17 @@ def _quasi_associativity(M: MajidAlgebra, sources=None):
     binom(l+m+t, l+m) are the same q-trinomial [l+m+t]! / ([l]! [m]!
     [t]!) at hbar.  Z[zeta_Q] has no zero divisors, so the identity
     holds iff b1 vanishes or eR = eL mod Q.  The first source of a runs
-    over range(sources), by default _sources(M): eR - eL is affine in it
-    once the tables are, so a failure at any source is one at source 0
-    or 1 for the same (b, c), and the first witness is the same.
+    over range(_source_count(M)): eR - eL is affine in it once the tables
+    are, so a failure at any source is one at source 0 or 1 for the same
+    (b, c), and the first witness is the same.
     """
     n, d, Q = M.n, M.d, M.algebra.conductor
     E, phi_e, vanishes = M.E, M.phi_e, M.vanishes
-    if sources is None:
-        sources = _sources(M)
-    i = np.arange(sources).reshape(1, sources, 1, 1)
+    count = _source_count(M)
+    i = np.arange(count).reshape(1, count, 1, 1)
     j, k = np.arange(n).reshape(1, 1, n, 1), np.arange(n).reshape(1, 1, 1, n)
     for l in range(d):
-        for m0, m1 in _m_ranges(d, lambda m: d * sources * n * n):
+        for m0, m1 in _m_ranges(d, lambda m: d * count * n * n):
             # the (m, t) in loop order where b1 does not vanish
             ms, ts = np.meshgrid(np.arange(m0, m1), np.arange(d),
                                  indexing="ij")
@@ -122,7 +121,7 @@ def _quasi_associativity(M: MajidAlgebra, sources=None):
     return None
 
 
-def _coproduct(M: MajidAlgebra, sources=None):
+def _coproduct(M: MajidAlgebra):
     """The coproduct is an algebra map: for every split position r of
     the product p(i,l) p(j,m), the convolution of split coefficients
     reproduces the total coefficient.
@@ -132,18 +131,17 @@ def _coproduct(M: MajidAlgebra, sources=None):
     when each term that does not vanish has the exponent e(k) =
     E((i+k)%n, l-k, (j+u)%n, m-u) + E(i,k,j,u) - E(i,l,j,m) equal to
     hb (l-k) u mod Q.  A split where some term disagrees is summed
-    exactly by _split_holds.  The source i runs over range(sources), by
-    default _sources(M), where e(k) is affine in i; a chunk that flags
-    a term is flagged again over every i, so _split_holds sees the same
-    splits in the same order.
+    exactly by _split_holds.  The source i runs over
+    range(_source_count(M)), where e(k) is affine in i; a chunk that
+    flags a term is flagged again over every i, so _split_holds sees the
+    same splits in the same order.
     """
     n, d, Q, hb = M.n, M.d, M.algebra.conductor, M.algebra._hb
     E, vanishes = M.E, M.vanishes
-    if sources is None:
-        sources = _sources(M)
+    count = _source_count(M)
     j = np.arange(n)[None, :, None]
     for l in range(d):
-        for m0, m1 in _m_ranges(d, lambda m: (l + 1) * (m + 1) * sources * n):
+        for m0, m1 in _m_ranges(d, lambda m: (l + 1) * (m + 1) * count * n):
             # the terms (m, k, u), u <= m, of the splits r = k + u
             # that do not vanish
             ms, ks, us = np.meshgrid(np.arange(m0, m1), np.arange(l + 1),
@@ -159,10 +157,10 @@ def _coproduct(M: MajidAlgebra, sources=None):
                      + E(i, ks, j, us) - E(i, l, j, ms))
                 return (e - hb * (l - ks) * us) % Q != 0
 
-            flagged = flags(sources)
+            flagged = flags(count)
             if not flagged.any():
                 continue
-            if sources < n:
+            if count < n:
                 flagged = flags(n)
             # the flagged splits in loop order (m, i, j, r)
             fi, fj, v = np.nonzero(flagged)
@@ -194,11 +192,11 @@ def verify_quasi_bialgebra(M: MajidAlgebra) -> dict:
     Quasi-associativity on all basis triples with the graded
     reassociator, the unit law, the pentagon and normalization on
     group-likes, and multiplicativity of the coproduct and counit.  The
-    report carries the first failing identity with a witness.  The
-    affinity of the exponent tables in the first source is checked once,
-    and both sweeps take the sources {0, 1} where it holds and every
-    source where it does not: the same verdicts and witnesses as a sweep
-    over every source (see the module docstring).
+    report carries the first failing identity with a witness.  Each
+    sweep checks the exponent tables affine in the first source, and
+    takes the first sources {0, 1} where they are and every first source
+    where they are not: the same verdicts and witnesses as a sweep over
+    every first source (see the module docstring).
     """
     n = M.n
     checks = {}
@@ -223,12 +221,10 @@ def verify_quasi_bialgebra(M: MajidAlgebra) -> dict:
     if not rep["passed"]:
         return fail(rep["reason"], {"counterexample": rep["counterexample"]})
 
-    # the exponent sweeps of the two heavy identities, on the first
-    # sources that the affinity of the tables leaves
-    sources = _sources(M)
+    # the exponent sweeps of the two heavy identities
     for name, check in (("quasi-associativity", _quasi_associativity),
                         ("coproduct-multiplicative", _coproduct)):
-        witness = check(M, sources)
+        witness = check(M)
         if witness is not None:
             return fail(name, witness)
     checks["quasi-associativity"] = True

@@ -85,14 +85,15 @@ def pentagon_report(params: CocycleParams, phi_table=None) -> dict:
     phi_table optionally overrides the cocycle with an explicit exponent
     table {(i, j, k): e} (used for negative controls).
 
-    The pentagon is swept over the first sources i in range(_sources(e, n)):
-    {0, 1} when the table is affine in i, e(i) = e(0) + i (e(1) - e(0))
-    mod n, as e = s i carry(j, k) is, else every i.  This is exact: n
-    times the slope is 0 mod n, so e((i + j) mod n, k, l) is affine in i
-    as well, every pentagon exponent is then affine in i, and an affine
-    exponent vanishes for every i iff it vanishes at i = 0 and i = 1.  As i
-    is the outermost loop and a failure at any i implies one at i = 0 or 1
-    for the same (j, k, l), the first witness in loop order is unchanged.
+    The pentagon is swept over the first sources i in
+    range(_source_count(e, n)): {0, 1} when the table is affine in i,
+    e(i) = e(0) + i (e(1) - e(0)) mod n, as e = s i carry(j, k) is, else
+    every i.  This is exact: n times the slope is 0 mod n, so
+    e((i + j) mod n, k, l) is affine in i as well, every pentagon
+    exponent is then affine in i, and an affine exponent vanishes for
+    every i iff it vanishes at i = 0 and i = 1.  As i is the outermost
+    loop and a failure at any i implies one at i = 0 or 1 for the same
+    (j, k, l), the first witness in loop order is unchanged.
     """
     n = params.n
     if phi_table is None:
@@ -109,7 +110,7 @@ def pentagon_report(params: CocycleParams, phi_table=None) -> dict:
                         "reason": "normalization"}
     # Phi(i, j, k+l) Phi(i+j, k, l) = Phi(j, k, l) Phi(i, j+k, l) Phi(i, j, k),
     # one row over l per (i, j, k)
-    for i in range(_sources(e, n)):
+    for i in range(_source_count(e, n)):
         for j in range(n):
             e_ij = e[i][j]
             for k in range(n):
@@ -124,7 +125,7 @@ def pentagon_report(params: CocycleParams, phi_table=None) -> dict:
     return {"passed": True, "counterexample": None}
 
 
-def _sources(e, n: int) -> int:
+def _source_count(e, n: int) -> int:
     """How many first sources i the pentagon sweeps: 2 if the exponent
     table e[i][j][k] (entries in 0..n-1) is affine mod n in i, else n."""
     for i in range(2, n):

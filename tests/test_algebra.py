@@ -277,46 +277,56 @@ def test_sweep_witnesses_match_the_plain_loops():
 
 
 @pytest.fixture
-def sources_seen(monkeypatch):
-    """What algebra._sources returns, call by call: 2 where the sweeps
-    take the first sources {0, 1}, n where they fall back to all."""
+def counts_seen(monkeypatch):
+    """What algebra._source_count returns, call by call: 2 where a sweep
+    takes the first sources {0, 1}, n where it falls back to all."""
     seen = []
-    sources = algebra._sources
+    source_count = algebra._source_count
 
     def spy(M):
-        seen.append(sources(M))
+        seen.append(source_count(M))
         return seen[-1]
 
-    monkeypatch.setattr(algebra, "_sources", spy)
+    monkeypatch.setattr(algebra, "_source_count", spy)
     return seen
 
 
-def test_reduced_sweeps_match_the_full_sweeps(sources_seen):
-    # every n <= 6 family: verification takes sources {0, 1} once and
-    # passes, as the sweeps over every source do.  With s moved the tables
-    # stay affine, and the sweeps on sources {0, 1} give the witnesses of
-    # the sweeps over all; with E moved at i0 = n - 1 they are not, and
-    # the sweeps fall back to every source, which is the full sweep itself
+def _swept_over(count, sweep, M):
+    """sweep(M) with the first source over range(count), whatever the
+    tables: count = n is the full sweep, the oracle of the reduced one."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_source_count", lambda M: count)
+        return sweep(M)
+
+
+def test_reduced_sweeps_match_the_full_sweeps(counts_seen):
+    # every n <= 6 family: verification takes sources {0, 1} in both
+    # sweeps and passes, as the sweeps over every source do.  With s moved
+    # the tables stay affine, and the sweeps on sources {0, 1} give the
+    # witnesses of the sweeps over all; with E moved at i0 = n - 1 they
+    # are not, and the sweeps fall back to every source, which is the full
+    # sweep itself
     for n, s, which in _families(6):
         M = _M(n, s, which)
         assert verify_quasi_bialgebra(M)["passed"]
-        assert sources_seen == [2], (n, s, which)
-        assert _quasi_associativity(M, n) is None
-        assert _coproduct(M, n) is None
-        moved_s, moved_e = _tampered_algebras(n, s, which)
-        sources_seen.clear()
+        assert counts_seen == [2, 2], (n, s, which)
         for sweep in (_quasi_associativity, _coproduct):
-            assert sweep(moved_s) == sweep(moved_s, n), (n, s, which, sweep)
-        assert sources_seen == [2, 2], (n, s, which)
-        sources_seen.clear()
+            assert _swept_over(n, sweep, M) is None, (n, s, which, sweep)
+        moved_s, moved_e = _tampered_algebras(n, s, which)
+        counts_seen.clear()
+        for sweep in (_quasi_associativity, _coproduct):
+            assert sweep(moved_s) == _swept_over(n, sweep, moved_s), (
+                n, s, which, sweep)
+        assert counts_seen == [2, 2], (n, s, which)
+        counts_seen.clear()
         _quasi_associativity(moved_e)
         _coproduct(moved_e)
-        assert sources_seen == [n, n], (n, s, which)
-        sources_seen.clear()
+        assert counts_seen == [n, n], (n, s, which)
+        counts_seen.clear()
 
 
 def test_opposite_multiplication_is_decided_by_the_exact_check(
-        monkeypatch, sources_seen):
+        monkeypatch, counts_seen):
     # E(i, l, j, m) = hb i m is the opposite algebra of the s = 0 family,
     # again a bialgebra; its splits carry the other q-Vandermonde exponents,
     # hb k (m - u), so the exponent rule flags them and the exact sum in
@@ -337,18 +347,18 @@ def test_opposite_multiplication_is_decided_by_the_exact_check(
         assert hb in (1, 3)
         M.E = lambda i, l, j, m: hb * i * m
         reached.clear()
-        sources_seen.clear()
+        counts_seen.clear()
         assert _quasi_associativity(M) is None
         assert _coproduct(M) is None
-        assert sources_seen == [2, 2]
+        assert counts_seen == [2, 2]
         assert reached
         full, reached[:] = reached[:], []
-        assert _coproduct(M, 4) is None
+        assert _swept_over(4, _coproduct, M) is None
         assert reached == full
         assert _first_coproduct_failure(M) is None
 
 
-def test_a_slope_that_n_does_not_kill_takes_every_source(sources_seen):
+def test_a_slope_that_n_does_not_kill_takes_every_source(counts_seen):
     # phi_e + i and E - l on M(3,1,zeta_9), Q = 9: both tables are affine
     # in the first source, but n times the slope 1 is not 0 mod Q, so
     # phi_e((i + l) mod n) is not.  The exponents of a triple move by
@@ -359,10 +369,10 @@ def test_a_slope_that_n_does_not_kill_takes_every_source(sources_seen):
     M.E = lambda i, l, j, m: E(i, l, j, m) - l
     M.phi_e = lambda i, j, k: phi_e(i, j, k) + i
     witness = _quasi_associativity(M)
-    assert sources_seen == [3]
+    assert counts_seen == [3]
     assert witness == _first_associativity_failure(M) == {
         "a": "p(2,1)", "b": "p(0,0)", "c": "p(0,0)"}
-    assert _quasi_associativity(M, 2) != witness
+    assert _swept_over(2, _quasi_associativity, M) != witness
 
 
 # (n, s, index into legal_q_values): every family with n <= 3, M(4,1,zeta_16)

@@ -133,17 +133,18 @@ def test_pentagon_report_matches_the_plain_loop():
 
 
 @pytest.fixture
-def sources_seen(monkeypatch):
-    """What cocycle._sources returns, call by call: 2 where the pentagon
-    sweeps the first sources {0, 1}, n where it falls back to all."""
+def counts_seen(monkeypatch):
+    """What cocycle._source_count returns, call by call: 2 where the
+    pentagon sweeps the first sources {0, 1}, n where it falls back to
+    all."""
     seen = []
-    sources = cocycle._sources
+    source_count = cocycle._source_count
 
     def spy(e, n):
-        seen.append(sources(e, n))
+        seen.append(source_count(e, n))
         return seen[-1]
 
-    monkeypatch.setattr(cocycle, "_sources", spy)
+    monkeypatch.setattr(cocycle, "_source_count", spy)
     return seen
 
 
@@ -163,27 +164,27 @@ def _both_reports(params, table):
     return rep
 
 
-def test_pentagon_sweeps_two_sources_on_affine_tables(sources_seen):
+def test_pentagon_sweeps_two_sources_on_affine_tables(counts_seen):
     for n in range(2, 7):
         for s in range(n):
             params = CocycleParams.standard(n, s)
             assert pentagon_report(params) == _plain_pentagon_report(params)
-    assert sources_seen == [2] * 20
+    assert counts_seen == [2] * 20
     # affine in i but no cocycle: e(i, j, k) = i c(j, k) with c(j, k) =
     # j k^2, whose coboundary 2 j k l is not 0 mod an odd n, so the
     # pentagon fails, first at i = 1, through the reduced sweep
     for n in (3, 5, 7):
         table = {(i, j, k): i * j * k * k % n
                  for i, j, k in product(range(n), repeat=3)}
-        sources_seen.clear()
+        counts_seen.clear()
         rep = _both_reports(CocycleParams.standard(n, 0), table)
-        assert sources_seen == [2]
+        assert counts_seen == [2]
         assert rep == {"passed": False, "counterexample": [1, 1, 1, 1],
                        "reason": "pentagon"}
 
 
 def test_pentagon_report_matches_the_plain_loop_on_tampered_tables(
-        sources_seen):
+        counts_seen):
     # one or two exponents moved in the cocycle tables with n <= 7: the
     # same report as the plain loop, on all sources exactly where the
     # table is not affine in i (normalization fails before the sweep)
@@ -196,13 +197,13 @@ def test_pentagon_report_matches_the_plain_loop_on_tampered_tables(
                  for key in product(range(n), repeat=3)}
         for key in rng.sample(sorted(table), rng.randint(1, 2)):
             table[key] += rng.randrange(1, n)
-        sources_seen.clear()
+        counts_seen.clear()
         rep = _both_reports(params, table)
         if rep.get("reason") == "normalization":
-            assert sources_seen == []
+            assert counts_seen == []
             continue
         affine = _affine_in_i(table, n)
-        assert sources_seen == [2 if affine else n]
+        assert counts_seen == [2 if affine else n]
         fallbacks += not affine
     assert fallbacks > 100
 
