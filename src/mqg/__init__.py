@@ -26,17 +26,12 @@ _EXPORTS = {
     "quiver": (
         "Path",
         "PathVector",
-        "comultiply",
-        "counit",
         "parse_path",
-        "thin_splits",
     ),
     "cocycle": (
         "CocycleParams",
-        "OneDimModule",
         "action_scalar",
         "legal_q_values",
-        "one_dim_modules",
         "pentagon_report",
         "phi",
         "phi_exponent",
@@ -52,7 +47,6 @@ _EXPORTS = {
         "IntervalModule",
         "NotAComoduleError",
         "brute_force_decompose",
-        "brute_force_indecomposables",
         "comodule_tensor",
         "decompose",
         "direct_sum",
@@ -60,10 +54,8 @@ _EXPORTS = {
         "fusion_data",
         "hom_dim",
         "indecomposables",
-        "is_indecomposable",
         "random_module",
         "tensor_consistency_check",
-        "uniserial_check",
     ),
     "majid": (
         "ClassificationEntry",
@@ -73,7 +65,6 @@ _EXPORTS = {
         "build_truncated",
         "classify",
         "export_algebra",
-        "generation_check",
         "import_algebra",
         "solve_antipode",
     ),

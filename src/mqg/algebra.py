@@ -37,7 +37,7 @@ from . import majid
 from .majid import (  # noqa: F401
     ClassificationEntry, MajidAlgebra, StructureError, TruncationError,
     admissible_truncations, build_truncated, classify, export_algebra,
-    generation_check, import_algebra, solve_antipode)
+    import_algebra, solve_antipode)
 
 import numpy as np
 

@@ -1,5 +1,5 @@
 """3-cocycles on the cyclic group, derived 2-cocycles and the twisted
-group algebra with its one-dimensional modules.
+group algebra with the scalars of its one-dimensional modules.
 
 The primitive n-th root qq is pinned to zeta_n, so every (s, q) family is
 reproducible bit for bit.  The 3-cocycle value at (g^i, g^j, g^k) is
@@ -13,14 +13,12 @@ from .cyclo import CycloNum, cached_mul, root_of_unity
 
 __all__ = [
     "CocycleParams",
-    "OneDimModule",
     "phi",
     "phi_exponent",
     "pentagon_report",
     "sigma",
     "sigma_report",
     "twisted_power",
-    "one_dim_modules",
     "legal_q_values",
     "q_conductor",
     "action_scalar",
@@ -164,18 +162,6 @@ def twisted_power(params: CocycleParams, i: int) -> CycloNum:
     return _qq_power(params, -(i - 1) * params.s)
 
 
-@dataclass(frozen=True)
-class OneDimModule:
-    """A one-dimensional twisted-group-algebra module, g acts by lam."""
-
-    lam: CycloNum
-    params: CocycleParams
-
-    def __post_init__(self):
-        if self.lam**self.params.n != _qq_power(self.params, self.params.s):
-            raise ValueError("action scalar must satisfy lam^n = qq^s")
-
-
 def legal_q_values(params: CocycleParams) -> list[CycloNum]:
     """The admissible q parameters for the (n, s) family.
 
@@ -207,8 +193,3 @@ def check_q_legal(params: CocycleParams, q: CycloNum) -> None:
     else:
         if q**params.n != CycloNum.one():
             raise ValueError("for s = 0, q must be an n-th root of unity")
-
-
-def one_dim_modules(params: CocycleParams) -> list[OneDimModule]:
-    return [OneDimModule(action_scalar(params, q), params)
-            for q in legal_q_values(params)]

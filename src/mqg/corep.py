@@ -12,15 +12,16 @@ forms each degree of the coaction on X (x) Y: the tensor's arrows are
 its degree 1, and the consistency check compares every degree with the
 tensor's own chains.  All decomposition machinery is exact linear
 algebra over CycloNum with plain products, not the global product cache,
-so every value keeps the conductor of its inputs; one Gauss-Jordan
-routine serves rank and kernel, inverting each pivot with
-`CycloNum.inverse`.  The one floating-point computation is
+so every value keeps the conductor of its inputs.  Multiplicities and
+Hom dimensions need ranks only, and one routine, `_rank`, computes them
+by forward elimination, inverting each pivot with `CycloNum.inverse`;
+the reduced row-echelon form, kernels and End-local tests are oracles
+in the tests.  The one floating-point computation is
 the power iteration inside :func:`fp_dimension`, which is always
 compared against an exact row-sum certificate.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -39,13 +40,10 @@ __all__ = [
     "indecomposables",
     "decompose",
     "brute_force_decompose",
-    "brute_force_indecomposables",
     "comodule_tensor",
     "tensor_consistency_check",
     "fusion_data",
     "fp_dimension",
-    "uniserial_check",
-    "is_indecomposable",
     "hom_dim",
     "random_module",
     "direct_sum",
@@ -86,49 +84,30 @@ def _mat_mul(A, B, cols: int):
     return out
 
 
-def _row_reduce(rows, cols: int):
-    """Exact Gauss-Jordan elimination.  Returns (R, pivots): R holds the
-    rows in reduced row-echelon form, row t with its leading one in
-    column pivots[t] for t < len(pivots).  Each entry of R is a ratio of
-    minors of the input, so entries grow like minors."""
+def _rank(rows, cols: int) -> int:
+    """The rank, by exact forward elimination: each pivot clears only
+    the entries below it, through its inverse `CycloNum.inverse`, and the
+    rank is the number of pivots.  No reduced row-echelon form is built,
+    so no entry above a pivot is touched."""
     R = [row[:] for row in rows]
-    pivots = []
+    rank = 0
     for c in range(cols):
-        r = len(pivots)
-        if r == len(R):
+        if rank == len(R):
             break
-        piv = next((i for i in range(r, len(R)) if not R[i][c].is_zero()),
+        piv = next((i for i in range(rank, len(R)) if not R[i][c].is_zero()),
                    None)
         if piv is None:
             continue
-        R[r], R[piv] = R[piv], R[r]
-        inv = R[r][c].inverse()
-        R[r] = [x if x.is_zero() else x * inv for x in R[r]]
-        for i, row in enumerate(R):
-            f = row[c]
-            if i != r and not f.is_zero():
+        R[rank], R[piv] = R[piv], R[rank]
+        top = R[rank]
+        inv = top[c].inverse()
+        for i in range(rank + 1, len(R)):
+            if not R[i][c].is_zero():
+                f = R[i][c] * inv
                 R[i] = [x if y.is_zero() else x - f * y
-                        for x, y in zip(row, R[r])]
-        pivots.append(c)
-    return R, pivots
-
-
-def _rank(A, cols: int) -> int:
-    return len(_row_reduce(A, cols)[1])
-
-
-def _kernel_basis(rows, cols: int):
-    """Basis of the kernel of the row system, one vector per free
-    column."""
-    R, pivots = _row_reduce(rows, cols)
-    out = []
-    for fc in sorted(set(range(cols)) - set(pivots)):
-        vec = [_ZERO] * cols
-        vec[fc] = _ONE
-        for row, pc in zip(R, pivots):
-            vec[pc] = -row[fc]
-        out.append(vec)
-    return out
+                        for x, y in zip(R[i], top)]
+        rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -432,109 +411,6 @@ def brute_force_decompose(M: CycleModule) -> dict:
     if any(m != first for m in matches[1:]):
         raise RuntimeError("ambiguous summand search (non-unique fingerprint)")
     return first
-
-
-def is_indecomposable(M: CycleModule) -> bool:
-    """End(M) is local: its semisimple quotient is one-dimensional.
-
-    The radical of End(M) in characteristic zero is the kernel of the
-    trace form tr(xy) on a basis of End(M).
-    """
-    basis = _end_basis(M)
-    if not basis:
-        return False  # the zero module
-    k = len(basis)
-    nonzero = [{(v, s, t): x for v, mat in enumerate(elem)
-                for s, row in enumerate(mat) for t, x in enumerate(row)
-                if not x.is_zero()} for elem in basis]
-    gram = _mat(k, k)
-    for a in range(k):
-        for b in range(a, k):
-            # tr(x_a x_b) = sum_v sum_{s,t} x_a[v][s][t] x_b[v][t][s]
-            tr = _ZERO
-            for (v, s, t), x in nonzero[a].items():
-                y = nonzero[b].get((v, t, s))
-                if y is not None:
-                    tr = tr + x * y
-            gram[a][b] = gram[b][a] = tr
-    return _rank(gram, k) == 1
-
-
-def _end_basis(M: CycleModule):
-    """A basis of End(M), each element a tuple of per-vertex matrices."""
-    rows, offsets, total = _hom_system(M, M)
-    out = []
-    for vec in _kernel_basis(rows, total):
-        mats = []
-        for v, dim in enumerate(M.dims):
-            base = offsets[v]
-            mats.append([vec[base + a * dim:base + (a + 1) * dim]
-                         for a in range(dim)])
-        out.append(tuple(mats))
-    return out
-
-
-def uniserial_check(M: CycleModule) -> bool:
-    """True iff the radical series of M has one-dimensional layers, i.e.
-    the submodule lattice is a chain."""
-    total = M.total_dim()
-    if total == 0:
-        return True
-    r = M.rank_table()
-    sizes = [total]
-    for k in range(1, M.d + 1):
-        dim_rad_k = sum(row[k] for row in r)
-        sizes.append(dim_rad_k)
-        if dim_rad_k == 0:
-            break
-    layers = [sizes[t] - sizes[t + 1] for t in range(len(sizes) - 1)]
-    return all(x == 1 for x in layers) and sizes[-1] == 0
-
-
-# ---------------------------------------------------------------------------
-# brute-force enumeration of indecomposables
-# ---------------------------------------------------------------------------
-
-
-def _partial_injections(rows: int, cols: int):
-    """All 0/1 matrices with at most one 1 per row and per column."""
-    out = []
-    for k in range(min(rows, cols) + 1):
-        for rsel in itertools.combinations(range(rows), k):
-            for csel in itertools.permutations(range(cols), k):
-                m = _mat(rows, cols)
-                for r, c in zip(rsel, csel):
-                    m[r][c] = _ONE
-                out.append(m)
-    return out
-
-
-def brute_force_indecomposables(n: int, d: int, max_total: int):
-    """Enumerate nilpotent cycle representations in shift normal form
-    (every arrow a partial injection 0/1 matrix) up to the total
-    dimension bound, filter the indecomposable ones with the exact
-    End-local test and bucket them into isomorphism classes by their
-    Hom fingerprint.  Returns the list of class fingerprints."""
-    intervals = indecomposables(n, d)
-    realized = [I.realize() for I in intervals]
-    classes = {}
-    for dims in itertools.product(range(max_total + 1), repeat=n):
-        if not 0 < sum(dims) <= max_total:
-            continue
-        choices = [
-            _partial_injections(dims[(v + 1) % n], dims[v]) for v in range(n)
-        ]
-        for arrows in itertools.product(*choices):
-            try:
-                M = CycleModule(n, d, dims, arrows)
-            except NotAComoduleError:
-                continue
-            if not is_indecomposable(M):
-                continue
-            fp = (dims, tuple(hom_dim(R, M) for R in realized),
-                  tuple(hom_dim(M, R) for R in realized))
-            classes.setdefault(fp, M)
-    return list(classes)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from .shuffle import QuiverAlgebra, _product_exponent
 
 __all__ = ["MajidAlgebra", "ClassificationEntry", "StructureError",
            "TruncationError", "solve_antipode", "classify",
-           "admissible_truncations", "build_truncated", "generation_check",
-           "export_algebra", "import_algebra"]
+           "admissible_truncations", "build_truncated", "export_algebra",
+           "import_algebra"]
 
 
 class TruncationError(ValueError):
@@ -367,28 +367,6 @@ def build_truncated(n: int, d: int) -> MajidAlgebra:
         f"no consistent product on the length-{d} truncation for n={n}: "
         f"{n * n} families rejected"
     )
-
-
-def generation_check(M: MajidAlgebra) -> bool:
-    """The vertex g and the arrow X_1 generate the whole basis: left
-    powers of X_1 reach p(0, l) and left multiplication by g shifts the
-    source through every vertex."""
-    n = M.n
-    g = PathVector.monomial(Path(n, 1, 0))
-    reached = set()
-    acc = PathVector.monomial(M.unit)
-    x1 = PathVector.monomial(Path(n, 0, 1))
-    for l in range(M.d):
-        if l:
-            acc = M.multiply(acc, x1)
-            if acc.is_zero():
-                return False
-        shifted = acc
-        for _ in range(n):
-            for p in shifted.terms:
-                reached.add((p.source, p.length))
-            shifted = M.multiply(g, shifted)
-    return len(reached) == M.dim
 
 
 # ---------------------------------------------------------------------------

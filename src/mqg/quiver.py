@@ -1,27 +1,22 @@
-"""Paths on the basic cycle and the path coalgebra.
+"""Paths on the basic cycle and their linear combinations.
 
 The basic cycle of order n has vertices 0..n-1 and one arrow i -> i+1,
 so a path is just a (source, length) pair.  That the Hopf quiver of a
 finite-type Majid algebra is a basic cycle is a step of the paper's
-proof, not a computation: no general quiver is built here.
-:func:`thin_splits` enumerates the thin splits explicitly; the tests
-sum over them as the oracle for mqg.shuffle's closed product formula.
+proof, not a computation: no general quiver is built here.  The path
+coalgebra (deconcatenation and its counit) and the explicit thin splits
+are oracles in the tests, for the axiom sweeps and for mqg.shuffle.
 """
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
-from math import comb
 
 from .cyclo import CycloNum
 
 __all__ = [
     "Path",
     "PathVector",
-    "comultiply",
-    "counit",
-    "thin_splits",
     "parse_path",
 ]
 
@@ -118,40 +113,3 @@ class PathVector:
                 self.terms.items(), key=lambda kv: (kv[0].length, kv[0].source)
             )
         )
-
-
-def comultiply(p: Path) -> list[tuple[Path, Path]]:
-    """Splitting pairs of the path-coalgebra coproduct, unit coefficients."""
-    n, i, l = p.cycle, p.source, p.length
-    return [(Path(n, i + k, l - k), Path(n, i, k)) for k in range(l + 1)]
-
-
-def counit(p: Path) -> int:
-    return 1 if p.length == 0 else 0
-
-
-def thin_splits(p: Path, parts: int):
-    """All thin splits of p into `parts` slots.
-
-    Returns a list of (d, segments): d is the 0/1 indicator tuple and
-    segments the corresponding vertices/arrows, read left to right along
-    the path.
-    """
-    n, i, l = p.cycle, p.source, p.length
-    if parts < l:
-        raise ValueError(f"need parts >= path length, got {parts} < {l}")
-    out = []
-    for ones in itertools.combinations(range(parts), l):
-        ones_set = set(ones)
-        d = tuple(1 if t in ones_set else 0 for t in range(parts))
-        segments = []
-        k = 0  # arrows consumed so far
-        for t in range(parts):
-            if d[t]:
-                segments.append(Path(n, i + k, 1))
-                k += 1
-            else:
-                segments.append(Path(n, i + k, 0))
-        out.append((d, tuple(segments)))
-    assert len(out) == comb(parts, l)
-    return out

@@ -5,7 +5,7 @@ Two independent evaluation routes exist for products of paths:
 * the thin-split sum, accumulated along lattice paths: the thin splits
   are grouped by how many arrows of each factor have been consumed, so
   none is enumerated (exact and polynomial-time; the explicit sum over
-  `quiver.thin_splits` is a test oracle).  It does not know the closed
+  thin splits is a test oracle in tests/test_shuffle.py).  It does not know the closed
   form.
 * the closed product formula: coef(p(i,l) p(j,m)) is a root of unity
   zeta_Q^E(i,l,j,m) times the Gaussian binomial (l+m choose l)_hbar.
@@ -200,15 +200,6 @@ class QuiverAlgebra:
         acc = p
         for _ in range(k - 1):
             acc = self.shuffle_multiply(acc, p)
-        return acc
-
-    def power_right(self, p: PathVector, k: int) -> PathVector:
-        """p..(p.(p.p)..), right-nested, by the thin-split sum."""
-        if k < 1:
-            raise ValueError("power exponent must be >= 1")
-        acc = p
-        for _ in range(k - 1):
-            acc = self.shuffle_multiply(p, acc)
         return acc
 
     def cross_check(self, max_total_length: int) -> CrossCheckReport:

@@ -11,7 +11,17 @@ same form.
 from mqg.algebra import MajidAlgebra
 from mqg.cocycle import pentagon_report
 from mqg.cyclo import CycloNum
-from mqg.quiver import comultiply
+from mqg.quiver import Path
+
+
+def comultiply(p: Path) -> list[tuple[Path, Path]]:
+    """Splitting pairs of the path-coalgebra coproduct, unit coefficients."""
+    n, i, l = p.cycle, p.source, p.length
+    return [(Path(n, i + k, l - k), Path(n, i, k)) for k in range(l + 1)]
+
+
+def counit(p: Path) -> int:
+    return 1 if p.length == 0 else 0
 
 
 def verify_quasi_bialgebra(M: MajidAlgebra, product=None) -> dict:

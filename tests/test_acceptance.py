@@ -15,7 +15,6 @@ from mqg.cyclo import CycloNum, root_of_unity
 from mqg.cocycle import (
     CocycleParams,
     legal_q_values,
-    one_dim_modules,
     pentagon_report,
     sigma,
     twisted_power,
@@ -33,14 +32,14 @@ from mqg.algebra import (
 )
 from mqg.corep import (
     brute_force_decompose,
-    brute_force_indecomposables,
     decompose,
     fp_dimension,
     fusion_data,
     indecomposables,
     random_module,
-    uniserial_check,
 )
+from corep_oracle import brute_force_indecomposables, uniserial_check
+from test_cocycle import one_dim_modules
 
 
 @pytest.fixture(autouse=True)

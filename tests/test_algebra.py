@@ -25,7 +25,6 @@ from mqg.algebra import (
     build_truncated,
     classify,
     export_algebra,
-    generation_check,
     import_algebra,
     solve_antipode,
     verify_quasi_bialgebra,
@@ -488,6 +487,28 @@ def test_build_truncated():
     assert "families rejected" in str(exc.value)
     with pytest.raises(ValueError):
         build_truncated(2, 0)
+
+
+def generation_check(M: MajidAlgebra) -> bool:
+    """The vertex g and the arrow X_1 generate the whole basis: left
+    powers of X_1 reach p(0, l) and left multiplication by g shifts the
+    source through every vertex."""
+    n = M.n
+    g = PathVector.monomial(Path(n, 1, 0))
+    reached = set()
+    acc = PathVector.monomial(M.unit)
+    x1 = PathVector.monomial(Path(n, 0, 1))
+    for l in range(M.d):
+        if l:
+            acc = M.multiply(acc, x1)
+            if acc.is_zero():
+                return False
+        shifted = acc
+        for _ in range(n):
+            for p in shifted.terms:
+                reached.add((p.source, p.length))
+            shifted = M.multiply(g, shifted)
+    return len(reached) == M.dim
 
 
 def test_generation():

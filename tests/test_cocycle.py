@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 from itertools import product
 
 import pytest
@@ -7,10 +8,8 @@ from mqg import cocycle
 from mqg.cyclo import CycloNum, root_of_unity
 from mqg.cocycle import (
     CocycleParams,
-    OneDimModule,
     action_scalar,
     legal_q_values,
-    one_dim_modules,
     pentagon_report,
     phi,
     phi_exponent,
@@ -308,6 +307,23 @@ def test_action_scalar_and_legality():
     assert action_scalar(params0, q0) == q0
     with pytest.raises(ValueError):
         action_scalar(params0, root_of_unity(9))
+
+
+@dataclass(frozen=True)
+class OneDimModule:
+    """A one-dimensional twisted-group-algebra module, g acts by lam."""
+
+    lam: CycloNum
+    params: CocycleParams
+
+    def __post_init__(self):
+        if self.lam**self.params.n != self.params.qq**self.params.s:
+            raise ValueError("action scalar must satisfy lam^n = qq^s")
+
+
+def one_dim_modules(params: CocycleParams) -> list[OneDimModule]:
+    return [OneDimModule(action_scalar(params, q), params)
+            for q in legal_q_values(params)]
 
 
 def test_one_dim_modules():

@@ -20,15 +20,13 @@ from mqg.corep import (
     fusion_data,
     hom_dim,
     indecomposables,
-    is_indecomposable,
     parse_interval,
     random_module,
-    _kernel_basis,
     _rank,
-    _row_reduce,
     tensor_consistency_check,
-    uniserial_check,
 )
+from corep_oracle import (_kernel_basis, _row_reduce, is_indecomposable,
+                          uniserial_check)
 
 
 def _M(n, s, which=0):
@@ -307,19 +305,21 @@ def test_zero_vertex_composite_shapes():
     assert M.composite_chain(3)[1] == [[]]        # 1 x 0
 
 
-def test_decompose_tensor_modules_matches_brute_force():
+def _small_tensors():
+    """(I, J, I (x) J) for the intervals I, J of M(2, 1, zeta_4) (d = 4,
+    conductor 4) with len(I) len(J) <= 6."""
     M = _M(2, 1)
     assert M.d == 4
     mods = indecomposables(2, 4)
-    checked = 0
-    for I in mods:
-        for J in mods:
-            if I.length * J.length > 6:
-                continue
-            T = comodule_tensor(M, I.realize(), J.realize())
-            assert decompose(T) == brute_force_decompose(T), (str(I), str(J))
-            checked += 1
-    assert checked == 40
+    return [(I, J, comodule_tensor(M, I.realize(), J.realize()))
+            for I in mods for J in mods if I.length * J.length <= 6]
+
+
+def test_decompose_tensor_modules_matches_brute_force():
+    tensors = _small_tensors()
+    for I, J, T in tensors:
+        assert decompose(T) == brute_force_decompose(T), (str(I), str(J))
+    assert len(tensors) == 40
 
 
 def test_composites_keep_the_conductor_of_their_entries():
@@ -407,9 +407,15 @@ def _oracle_matrices(N, rng):
 def test_rank_and_kernel_match_the_realified_rational_rank(N):
     phi = euler_phi(N)
     full = set()
-    for A in _oracle_matrices(N, random.Random(N)):
+    matrices = list(_oracle_matrices(N, random.Random(N)))
+    if N == 4:  # and every nonempty composite of the small tensors
+        matrices += [C for _, _, T in _small_tensors() for v in range(2)
+                     for C in T.composite_chain(v) if C and C[0]]
+    for A in matrices:
         cols = len(A[0])
         rank = _rank(A, cols)
+        # forward elimination counts the pivots of the reduced form
+        assert rank == len(_row_reduce(A, cols)[1]), A
         full.add(rank == min(len(A), cols))
         assert _q_rank(_realify(A, N)) == phi * rank, A
         kernel = _kernel_basis(A, cols)

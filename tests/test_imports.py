@@ -22,24 +22,21 @@ SRC = ROOT / "src"
 EXPORTS = {
     "cyclo": ["ConductorLimitError", "CycloNum", "InvalidConductorError",
               "euler_phi", "max_conductor", "root_of_unity"],
-    "quiver": ["Path", "PathVector", "comultiply", "counit", "parse_path",
-               "thin_splits"],
-    "cocycle": ["CocycleParams", "OneDimModule", "action_scalar",
-                "legal_q_values", "one_dim_modules", "pentagon_report",
-                "phi", "phi_exponent", "sigma", "sigma_report",
-                "twisted_power"],
+    "quiver": ["Path", "PathVector", "parse_path"],
+    "cocycle": ["CocycleParams", "action_scalar", "legal_q_values",
+                "pentagon_report", "phi", "phi_exponent", "sigma",
+                "sigma_report", "twisted_power"],
     "bimodule": ["ArrowBimodule", "build_bimodule", "quasi_axiom_check"],
     "shuffle": ["CrossCheckReport", "QuiverAlgebra"],
     "corep": ["CycleModule", "FusionData", "IntervalModule",
               "NotAComoduleError", "brute_force_decompose",
-              "brute_force_indecomposables", "comodule_tensor", "decompose",
-              "direct_sum", "fp_dimension", "fusion_data", "hom_dim",
-              "indecomposables", "is_indecomposable", "random_module",
-              "tensor_consistency_check", "uniserial_check"],
+              "comodule_tensor", "decompose", "direct_sum", "fp_dimension",
+              "fusion_data", "hom_dim", "indecomposables", "random_module",
+              "tensor_consistency_check"],
     "majid": ["ClassificationEntry", "MajidAlgebra", "StructureError",
               "TruncationError", "admissible_truncations",
               "build_truncated", "classify", "export_algebra",
-              "generation_check", "import_algebra", "solve_antipode"],
+              "import_algebra", "solve_antipode"],
     "algebra": ["verify_quasi_bialgebra"],
 }
 
@@ -236,22 +233,10 @@ def _library_names() -> set:
 
 
 def test_names_only_tests_call_are_pinned():
-    # the public names that no layer, demo or benchmark workload reads:
-    # each is kept as a reference or check for the tests, so a new one
-    # needs a reason, and code nothing calls is deleted
-    assert set(mqg.__all__) - _library_names() == {
-        # test_acceptance.py::test_criterion_07_corepresentation_counts
-        "brute_force_indecomposables", "uniserial_check",
-        # the coproduct of tests/bialgebra_oracle.py, and
-        # test_quiver.py::test_comultiply_counit_law
-        "comultiply", "counit",
-        # test_algebra.py::test_generation
-        "generation_check",
-        # test_acceptance.py::test_criterion_02_twisted_algebra_suite
-        "one_dim_modules",
-        # test_shuffle.py::_thin_split_sum, the thin-split oracle
-        "thin_splits",
-    }
+    # every public name is read by a layer, a demo or a benchmark
+    # workload: a check or reference that only tests read lives in the
+    # tests, and code nothing calls is deleted
+    assert set(mqg.__all__) - _library_names() == set()
 
 
 def test_methods_only_tests_call_are_pinned():
@@ -269,7 +254,7 @@ def test_methods_only_tests_call_are_pinned():
         # test_algebra.py::test_reassociator_and_functionals, the graded
         # reassociator on vertices and off them
         "MajidAlgebra.reassociator",
-        # test_shuffle.py::test_right_powers_agree_when_associative, the
-        # right-nested thin-split powers against the left-nested ones
-        "QuiverAlgebra.power_right",
+        # tests/antipode_oracle.py, the antipode identities on path
+        # vectors, and test_algebra.py::generation_check
+        "MajidAlgebra.multiply",
     }

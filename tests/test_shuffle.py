@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from functools import reduce
@@ -8,7 +9,7 @@ import pytest
 from mqg.cyclo import CycloNum, _reduce_mod_phi, int_vec_zero_mod_phi, rotate
 from mqg.cocycle import CocycleParams, legal_q_values
 from mqg.majid import MajidAlgebra
-from mqg.quiver import Path, PathVector, thin_splits
+from mqg.quiver import Path, PathVector
 from mqg.shuffle import (
     CrossCheckReport,
     QuiverAlgebra,
@@ -142,6 +143,33 @@ def test_vertex_action_on_paths():
         c, t = A.closed_form_product(p, Path(3, j, 0))
         assert t == Path(3, (1 + j) % 3, 2)
         assert c == A.hbar ** (2 * j)
+
+
+def thin_splits(p: Path, parts: int):
+    """All thin splits of p into `parts` slots.
+
+    Returns a list of (d, segments): d is the 0/1 indicator tuple and
+    segments the corresponding vertices/arrows, read left to right along
+    the path.
+    """
+    n, i, l = p.cycle, p.source, p.length
+    if parts < l:
+        raise ValueError(f"need parts >= path length, got {parts} < {l}")
+    out = []
+    for ones in itertools.combinations(range(parts), l):
+        ones_set = set(ones)
+        d = tuple(1 if t in ones_set else 0 for t in range(parts))
+        segments = []
+        k = 0  # arrows consumed so far
+        for t in range(parts):
+            if d[t]:
+                segments.append(Path(n, i + k, 1))
+                k += 1
+            else:
+                segments.append(Path(n, i + k, 0))
+        out.append((d, tuple(segments)))
+    assert len(out) == comb(parts, l)
+    return out
 
 
 def _thin_split_sum(A, p1, p2):
@@ -342,13 +370,14 @@ def test_left_powers_are_gauss_factorials():
 
 
 def test_right_powers_agree_when_associative():
-    # s = 0: the reassociator is trivial, both nestings coincide
+    # s = 0: the reassociator is trivial, so the right-nested powers
+    # p.(p.(..p)) equal the left-nested ones
     A = _algebra(3, 0, which=1)
     x = PathVector.monomial(Path(3, 0, 1))
+    acc = x
     for k in range(1, 4):
-        assert A.power_right(x, k) == A.power_left(x, k)
-    with pytest.raises(ValueError):
-        A.power_right(x, -1)
+        assert acc == A.power_left(x, k)
+        acc = A.shuffle_multiply(x, acc)
 
 
 def test_truncation_emerges():
