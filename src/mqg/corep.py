@@ -6,13 +6,16 @@ module side: a dimension vector over the n vertices plus an arrow matrix
 per vertex, with every composite of d consecutive arrows zero.  The
 composites from a vertex are built once, at construction, as one chain,
 each from the one before by a single product with the next arrow
-(:meth:`CycleModule.composite_chain`); the nilpotency check, the rank
-table and the coaction read these chains.  One routine, `_coaction`,
-forms each degree of the coaction on X (x) Y: the tensor's arrows are
-its degree 1, and the consistency check compares every degree with the
-tensor's own chains.  All decomposition machinery is exact linear
-algebra over CycloNum with plain products, not the global product cache,
-so every value keeps the conductor of its inputs.  Multiplicities and
+(:meth:`CycleModule.composite_chain`), until one vanishes: that length
+is the vertex's height, and the longer composites are zero matrices
+built without a product.  The nilpotency check, the rank table and the
+coaction read these chains.  One routine, `_coaction`, forms each
+degree of the coaction on X (x) Y, skipping the terms past either
+factor's height: the tensor's arrows are its degree 1, and the
+consistency check compares every degree with the tensor's own chains.
+All decomposition machinery is exact linear algebra over CycloNum with
+plain products, not the global product cache, so every value keeps the
+conductor of its inputs.  Multiplicities and
 Hom dimensions need ranks only, and one routine, `_rank`, computes them
 by forward elimination, inverting each pivot with `CycloNum.inverse`;
 the reduced row-echelon form, kernels and End-local tests are oracles
@@ -140,16 +143,21 @@ class CycleModule:
             if len(mat) != rows or any(len(row) != cols for row in mat):
                 raise ValueError(f"arrow {i} has the wrong shape")
         # chain i holds composite(i, k) for 0 <= k <= d, each from the one
-        # before by one product with the next arrow
-        self._chains = []
+        # before by one product with the next arrow until one vanishes;
+        # _heights[i] is the first k with composite(i, k) = 0, and every
+        # longer composite is a zero matrix without a product
+        self._chains, self._heights = [], []
         for i, cols in enumerate(self.dims):
             chain = [_identity(cols)]
-            for t in range(d):
-                chain.append(_mat_mul(self.arrows[(i + t) % n], chain[-1],
-                                      cols))
-            if any(not x.is_zero() for row in chain[-1] for x in row):
-                raise NotAComoduleError(
-                    f"length-{d} composite from vertex {i} is nonzero")
+            while any(not x.is_zero() for row in chain[-1] for x in row):
+                if len(chain) > d:
+                    raise NotAComoduleError(
+                        f"length-{d} composite from vertex {i} is nonzero")
+                chain.append(_mat_mul(self.arrows[(i + len(chain) - 1) % n],
+                                      chain[-1], cols))
+            self._heights.append(len(chain) - 1)
+            chain += [_mat(self.dims[(i + k) % n], cols)
+                      for k in range(len(chain), d + 1)]
             self._chains.append(chain)
 
     def total_dim(self) -> int:
@@ -158,7 +166,8 @@ class CycleModule:
     def composite_chain(self, i: int):
         """[composite(i, 0), ..., composite(i, d)], as built at
         construction.  composite(i, k) has shape dims[i+k] x dims[i], also
-        through zero-dimensional vertices."""
+        through zero-dimensional vertices; from the height of vertex i
+        (`_heights[i]`) on, it is a zero matrix made without a product."""
         return self._chains[i % self.n]
 
     def rank_table(self):
@@ -440,14 +449,18 @@ def _coaction(M: MajidAlgebra, X: CycleModule, Y: CycleModule, k: int,
     """The degree-k component of the coaction on X (x) Y, one matrix per
     vertex v, from the basis of v to that of v + k: x (x) y, x at vertex
     i and y at j, goes to sum_{t+u=k} coef(p(i,t) p(j,u)) (A^t x) (x)
-    (B^u y) over the t, u < d that name basis paths."""
-    n, d = M.n, M.d
+    (B^u y) over the t, u < d that name basis paths.  Only t below the
+    height of vertex i in X and u below that of j in Y are visited: past
+    its height a composite is zero, and so is the term, so no product
+    is looked up for it."""
+    n = M.n
     chains = [(X.composite_chain(i), Y.composite_chain(i)) for i in range(n)]
     out = []
     for v in range(n):
         mat = _mat(len(blocks[(v + k) % n]), len(blocks[v]))
         for col, (i, j, a, b) in enumerate(blocks[v]):
-            for t in range(max(0, k - d + 1), min(k, d - 1) + 1):
+            for t in range(max(0, k - Y._heights[j] + 1),
+                           min(k, X._heights[i] - 1) + 1):
                 u = k - t
                 coeff, target = M.product(Path(n, i, t), Path(n, j, u))
                 if target is None or coeff.is_zero():

@@ -1,16 +1,18 @@
 """Independent checks of `mqg.corep`, which classifies comodules by the
 ranks of arrow composites alone.
 
-Here a reduced row-echelon form gives kernels, so End(M) is computed
-and an indecomposable is recognised by End(M) being local; the
-nilpotent representations in shift normal form are enumerated and
-bucketed by Hom fingerprint; uniseriality is read off the radical
-series.  None of this is in the library, which needs only ranks.
+Here a reduced row-echelon form gives kernels and ranks (its pivot
+count), so End(M) is computed and an indecomposable is recognised by
+End(M) being local; the nilpotent representations in shift normal form
+are enumerated and bucketed by Hom fingerprint; uniseriality is read off
+the radical series of arrow composites folded here.  None of this is in
+the library, which needs only ranks and computes them by forward
+elimination.
 """
 import itertools
 
 from mqg.corep import (_ONE, _ZERO, CycleModule, NotAComoduleError,
-                       _hom_system, _mat, _rank, hom_dim, indecomposables)
+                       _hom_system, _mat, hom_dim, indecomposables)
 
 
 def _row_reduce(rows, cols: int):
@@ -77,7 +79,7 @@ def is_indecomposable(M: CycleModule) -> bool:
                 if y is not None:
                     tr = tr + x * y
             gram[a][b] = gram[b][a] = tr
-    return _rank(gram, k) == 1
+    return len(_row_reduce(gram, k)[1]) == 1
 
 
 def _end_basis(M: CycleModule):
@@ -94,16 +96,31 @@ def _end_basis(M: CycleModule):
     return out
 
 
+def _times(A, C, cols: int):
+    """A C, each entry a sum of products; C has `cols` columns, also when
+    it has no rows."""
+    return [[sum((A[r][m] * C[m][c] for m in range(len(C))), _ZERO)
+             for c in range(cols)] for r in range(len(A))]
+
+
 def uniserial_check(M: CycleModule) -> bool:
     """True iff the radical series of M has one-dimensional layers, i.e.
-    the submodule lattice is a chain."""
+    the submodule lattice is a chain.  dim rad^k M is the sum over the
+    vertices of the rank of the k-fold arrow composite, each composite
+    folded from the arrows here, entry by entry, and ranked by the pivots
+    of its reduced row-echelon form."""
     total = M.total_dim()
     if total == 0:
         return True
-    r = M.rank_table()
+    n, dims = M.n, M.dims
+    composites = [[[_ONE if a == b else _ZERO for b in range(cols)]
+                   for a in range(cols)] for cols in dims]
     sizes = [total]
     for k in range(1, M.d + 1):
-        dim_rad_k = sum(row[k] for row in r)
+        composites = [_times(M.arrows[(i + k - 1) % n], C, dims[i])
+                      for i, C in enumerate(composites)]
+        dim_rad_k = sum(len(_row_reduce(C, dims[i])[1])
+                        for i, C in enumerate(composites))
         sizes.append(dim_rad_k)
         if dim_rad_k == 0:
             break

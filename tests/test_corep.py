@@ -22,9 +22,13 @@ from mqg.corep import (
     indecomposables,
     parse_interval,
     random_module,
+    _coaction,
+    _mat,
     _rank,
+    _tensor_index,
     tensor_consistency_check,
 )
+from mqg.quiver import Path
 from corep_oracle import (_kernel_basis, _row_reduce, is_indecomposable,
                           uniserial_check)
 
@@ -276,25 +280,33 @@ def _chain_modules():
         IntervalModule(3, 3, 2, 3).realize(),
         comodule_tensor(_M(2, 1), X, Y),
         random_module(3, 3, rng, max_total=8)[0],
+        direct_sum([IntervalModule(3, 4, 0, 4).realize(),
+                    IntervalModule(3, 4, 0, 1).realize(),
+                    IntervalModule(3, 4, 1, 2).realize()]),
     ]
 
 
 @pytest.mark.parametrize("M", _chain_modules(),
                          ids=["interval-zero-vertices", "interval",
-                              "tensor", "random"])
+                              "tensor", "random", "sum-unequal-heights"])
 def test_composite_chain_is_the_naive_fold(M):
     n, d = M.n, M.d
     table = M.rank_table()
     for i in range(n):
         chain = M.composite_chain(i)
         assert len(chain) == d + 1
+        naive = [_naive_composite(M, i, k) for k in range(d + 1)]
         for k, C in enumerate(chain):
             assert len(C) == M.dims[(i + k) % n]
             assert all(len(row) == M.dims[i] for row in C)
-            assert C == _naive_composite(M, i, k)
+            assert C == naive[k]
             # the rank table against the realified rational rank
             N = math.lcm(1, *(x.n for row in C for x in row))
             assert _q_rank(_realify(C, N)) == euler_phi(N) * table[i][k]
+        # the height is the first length whose naive composite vanishes
+        assert M._heights[i] == next(
+            k for k, C in enumerate(naive)
+            if all(x.is_zero() for row in C for x in row))
 
 
 def test_zero_vertex_composite_shapes():
@@ -303,6 +315,97 @@ def test_zero_vertex_composite_shapes():
     assert M.composite_chain(0)[4] == [[CycloNum.zero()]]  # 1 x 1, back at 0
     assert M.composite_chain(2)[2] == [[]]        # 1 x 0
     assert M.composite_chain(3)[1] == [[]]        # 1 x 0
+
+
+def _plain_coaction(M, X, Y, k, blocks, pos):
+    """The degree-k coaction on X (x) Y with a product looked up for
+    every t + u = k with t, u < d, whether or not A^t x or B^u y is
+    already zero: the loop `corep._coaction` shortens by the heights."""
+    n, d = M.n, M.d
+    chains = [(X.composite_chain(i), Y.composite_chain(i)) for i in range(n)]
+    out = []
+    for v in range(n):
+        mat = _mat(len(blocks[(v + k) % n]), len(blocks[v]))
+        for col, (i, j, a, b) in enumerate(blocks[v]):
+            for t in range(max(0, k - d + 1), min(k, d - 1) + 1):
+                u = k - t
+                coeff, target = M.product(Path(n, i, t), Path(n, j, u))
+                if target is None or coeff.is_zero():
+                    continue
+                Ax, By = chains[i][0][t], chains[j][1][u]
+                for r in range(X.dims[(i + t) % n]):
+                    if Ax[r][a].is_zero():
+                        continue
+                    for s2 in range(Y.dims[(j + u) % n]):
+                        if By[s2][b].is_zero():
+                            continue
+                        row = pos[((i + t) % n, (j + u) % n, r, s2)]
+                        mat[row][col] = mat[row][col] + coeff * (
+                            Ax[r][a] * By[s2][b])
+        out.append(mat)
+    return out
+
+
+def _bits(mats):
+    return [[[(x.n, x.num, x.den) for x in row] for row in mat]
+            for mat in mats]
+
+
+def _coaction_cases(family):
+    """(M, [(X, Y), ...]) for one family: interval factors, a sum whose
+    summands have unequal heights, and seeded random modules."""
+    n, s, N = family
+    M = MajidAlgebra.build(n, s, root_of_unity(N))
+    d = M.d
+
+    def I(top, length):
+        return IntervalModule(n, d, top, length).realize()
+
+    if d == 4:  # every pair of intervals of M(2, 1, zeta_4)
+        pairs = [(A.realize(), B.realize()) for A in indecomposables(n, d)
+                 for B in indecomposables(n, d)]
+    else:
+        pairs = [(I(0, 2), I(1, 3)), (I(0, d), I(1, 1)), (I(1, d), I(2, d)),
+                 (I(2, d - 1), I(0, d // 2)), (I(1, 1), I(0, d))]
+    pairs.append((direct_sum([I(0, d), I(0, 1), I(1, 2)]),
+                  direct_sum([I(1, 1), I(0, d // 2 + 1)])))
+    rng = random.Random(N + s)
+    mods = [random_module(n, d, rng, max_total=6)[0] for _ in range(4)]
+    pairs += [(mods[0], mods[1]), (mods[2], mods[3]), (mods[1], I(0, d))]
+    return M, pairs
+
+
+@pytest.mark.parametrize("family", [(2, 1, 4), (3, 1, 9), (4, 2, 16),
+                                    (4, 1, 16)],
+                         ids=["M(2,1,z4)", "M(3,1,z9)", "M(4,2,z16)",
+                              "M(4,1,z16)"])
+def test_coaction_matches_the_plain_loop(family):
+    M, pairs = _coaction_cases(family)
+    for X, Y in pairs:
+        blocks, pos = _tensor_index(X, Y)
+        for k in range(M.d + 1):
+            assert _bits(_coaction(M, X, Y, k, blocks, pos)) == _bits(
+                _plain_coaction(M, X, Y, k, blocks, pos)), (X.dims, Y.dims, k)
+
+
+def test_coaction_looks_up_only_live_terms(monkeypatch):
+    M = MajidAlgebra.build(4, 1, root_of_unity(16))
+    X = IntervalModule(4, 16, 0, 2).realize()
+    Y = IntervalModule(4, 16, 1, 3).realize()
+    assert X._heights == [2, 1, 0, 0] and Y._heights == [0, 3, 2, 1]
+    seen, product = [], M.product
+
+    def spy(a, b):
+        seen.append((a.source, a.length, b.source, b.length))
+        return product(a, b)
+
+    monkeypatch.setattr(M, "product", spy)
+    assert tensor_consistency_check(M, X, Y)
+    # (i, t, j, u) is live when A^t and B^u are nonzero on vertices i, j
+    live = {(i, t, j, u) for i in range(4) for j in range(4)
+            for t in range(X._heights[i]) for u in range(Y._heights[j])}
+    assert len(live) == 18
+    assert set(seen) == live
 
 
 def _small_tensors():
